@@ -29,8 +29,14 @@ Decoding classifies the received word:
 Triple or wider errors may alias to ``CORRECTED`` with a wrong payload
 (silent data corruption) exactly as real SECDED hardware would.
 
-The hot path uses per-byte spread/gather lookup tables so encoding and
-decoding cost a handful of table hits rather than 64 single-bit moves.
+The hot path is one pass of per-byte lookup tables.  An encode table
+entry is a data byte's spread codeword bits with its check-bit and
+extended-parity contributions folded in; a decode table entry packs a
+codeword byte's data bits, syndrome contribution and overall parity
+side by side.  Every part is linear over XOR, so XOR-ing one entry per
+byte encodes a word, or yields its data, syndrome and parity at once.
+The tables are built by XOR-composing single-bit entries, 256 cheap
+steps per byte.
 """
 
 from __future__ import annotations
@@ -98,8 +104,18 @@ class Secded:
             (1 << i) - 1 for i in range(self.check_bits)
         )
         self._parity_masks = self._compute_parity_masks()
-        self._enc_tables = self._build_encode_tables()
-        self._dec_tables = self._build_decode_tables()
+        self._data_mask = mask(data_bits)
+        self._codeword_mask = mask(self.codeword_bits)
+        self._syndrome_mask = mask(self.check_bits)
+        #: decode entries pack data | syndrome << data_bits | parity bit
+        self._parity_shift = data_bits + self.check_bits
+        self._bit_folds = self._decode_bit_entries()
+        self._enc_tables = self._byte_tables(
+            self._encode_bit_entries(), data_bits
+        )
+        self._dec_tables = self._byte_tables(
+            self._bit_folds, self.codeword_bits
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -131,54 +147,62 @@ class Secded:
             masks.append(m)
         return tuple(masks)
 
-    def _build_encode_tables(self) -> list[list[int]]:
-        """Per-data-byte tables mapping byte value to its spread codeword
-        bits *including* its XOR contribution to the check bits."""
-        nbytes = (self.data_bits + 7) // 8
-        tables: list[list[int]] = []
-        for byte_idx in range(nbytes):
-            table = [0] * 256
-            base = byte_idx * 8
-            span = min(8, self.data_bits - base)
-            for value in range(256):
-                cw = 0
-                for j in range(span):
-                    if value >> j & 1:
-                        cw |= 1 << self._data_positions[base + j]
-                # Fold this byte's check-bit contribution in directly so a
-                # full encode is a pure XOR of table entries.
-                for i, pmask in enumerate(self._parity_masks):
-                    if parity(cw & pmask):
-                        cw ^= 1 << self._check_positions[i]
-                table[value] = cw
-            tables.append(table)
-        return tables
+    def _encode_bit_entries(self) -> list[int]:
+        """Codeword of each single data bit: its own position, the check
+        bits covering it (the set bits of its 1-based position) and the
+        extended parity bit that makes the word's parity even."""
+        entries = []
+        for cw_idx in self._data_positions:
+            position = cw_idx + 1
+            cw = 1 << cw_idx
+            for i, check_idx in enumerate(self._check_positions):
+                if position >> i & 1:
+                    cw |= 1 << check_idx
+            if parity(cw):
+                cw |= 1 << self._extended_index
+            entries.append(cw)
+        return entries
 
-    def _build_decode_tables(self) -> list[list[int]]:
-        """Per-codeword-byte tables gathering data bits back out."""
-        nbytes = (self.codeword_bits + 7) // 8
+    def _decode_bit_entries(self) -> list[int]:
+        """Decode entry of each single codeword bit: its data bit (if it
+        carries one), its syndrome contribution (its 1-based Hamming
+        position; none for the extended bit) and one parity bit."""
         pos_to_databit = {
             cw_idx: data_idx
             for data_idx, cw_idx in enumerate(self._data_positions)
         }
-        tables: list[list[int]] = []
-        for byte_idx in range(nbytes):
+        entries = []
+        for cw_idx in range(self.codeword_bits):
+            entry = 1 << self._parity_shift
+            if cw_idx in pos_to_databit:
+                entry |= 1 << pos_to_databit[cw_idx]
+            if cw_idx < self._hamming_len:
+                entry |= (cw_idx + 1) << self.data_bits
+            entries.append(entry)
+        return entries
+
+    @staticmethod
+    def _byte_tables(bit_entries: list[int], width: int) -> list[list[int]]:
+        """Per-byte tables over a ``width``-bit input: entry ``v`` is the
+        XOR of the single-bit entries of ``v``'s set bits, built from the
+        entry of ``v`` without its lowest set bit."""
+        tables = []
+        for base in range(0, width, 8):
+            singles = bit_entries[base:base + 8]
+            singles += [0] * (8 - len(singles))
             table = [0] * 256
-            base = byte_idx * 8
-            for value in range(256):
-                out = 0
-                for j in range(8):
-                    cw_idx = base + j
-                    if value >> j & 1 and cw_idx in pos_to_databit:
-                        out |= 1 << pos_to_databit[cw_idx]
-                table[value] = out
+            for value in range(1, 256):
+                low = value & -value
+                table[value] = (
+                    table[value ^ low] ^ singles[low.bit_length() - 1]
+                )
             tables.append(table)
         return tables
 
     # ------------------------------------------------------------------
     def encode(self, data: int) -> int:
         """Encode ``data`` into a codeword with even overall parity."""
-        if data < 0 or data > mask(self.data_bits):
+        if data < 0 or data > self._data_mask:
             raise ValueError(
                 f"data {data:#x} does not fit in {self.data_bits} bits"
             )
@@ -186,41 +210,46 @@ class Secded:
         for table in self._enc_tables:
             cw ^= table[data & 0xFF]
             data >>= 8
-        if parity(cw):
-            cw |= 1 << self._extended_index
         return cw
+
+    def _fold(self, codeword: int) -> int:
+        """XOR of the decode entries of ``codeword``'s bytes."""
+        fold = 0
+        for table in self._dec_tables:
+            fold ^= table[codeword & 0xFF]
+            codeword >>= 8
+        return fold
 
     def extract(self, codeword: int) -> int:
         """Gather the data bits out of ``codeword`` (no checking)."""
-        out = 0
-        for table in self._dec_tables:
-            out |= table[codeword & 0xFF]
-            codeword >>= 8
-        return out
+        return self._fold(codeword) & self._data_mask
 
     def syndrome(self, codeword: int) -> int:
         """Hamming syndrome of ``codeword`` (0 if check bits agree)."""
-        s = 0
-        for i, pmask in enumerate(self._parity_masks):
-            if parity(codeword & pmask):
-                s |= 1 << i
-        return s
+        return self._fold(codeword) >> self.data_bits & self._syndrome_mask
 
     def decode(self, codeword: int) -> DecodeResult:
         """Classify and (when possible) correct ``codeword``."""
-        if codeword < 0 or codeword > mask(self.codeword_bits):
+        if codeword < 0 or codeword > self._codeword_mask:
             raise ValueError("codeword out of range")
-        s = self.syndrome(codeword)
-        overall = parity(codeword)
+        # _fold inlined: decode runs once per flit-hop
+        fold = 0
+        word = codeword
+        for table in self._dec_tables:
+            fold ^= table[word & 0xFF]
+            word >>= 8
+        data = fold & self._data_mask
+        s = fold >> self.data_bits & self._syndrome_mask
+        overall = fold >> self._parity_shift
 
         if s == 0 and overall == 0:
-            return DecodeResult(DecodeStatus.CLEAN, self.extract(codeword), 0)
+            return DecodeResult(DecodeStatus.CLEAN, data, 0)
 
         if s == 0 and overall == 1:
             # The extended parity bit itself flipped; data is intact.
             return DecodeResult(
                 DecodeStatus.CORRECTED,
-                self.extract(codeword),
+                data,
                 0,
                 corrected_bit=self._extended_index,
             )
@@ -229,21 +258,20 @@ class Secded:
             # Odd overall parity + non-zero syndrome: single-bit error at
             # 1-based position ``s`` (if it points inside the word).
             if 1 <= s <= self._hamming_len:
-                fixed = codeword ^ (1 << (s - 1))
+                # flipping bit s-1 back flips its data bit, if it has one
+                fixed = data ^ (self._bit_folds[s - 1] & self._data_mask)
                 return DecodeResult(
                     DecodeStatus.CORRECTED,
-                    self.extract(fixed),
+                    fixed,
                     s,
                     corrected_bit=s - 1,
                 )
             # Syndrome points outside the codeword: treat as detected.
-            return DecodeResult(
-                DecodeStatus.DETECTED, self.extract(codeword), s
-            )
+            return DecodeResult(DecodeStatus.DETECTED, data, s)
 
         # Non-zero syndrome with even overall parity: an even number of
         # errors (>= 2).  Detected, uncorrectable.
-        return DecodeResult(DecodeStatus.DETECTED, self.extract(codeword), s)
+        return DecodeResult(DecodeStatus.DETECTED, data, s)
 
     # ------------------------------------------------------------------
     def data_index_to_codeword_index(self, data_idx: int) -> int:

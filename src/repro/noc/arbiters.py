@@ -39,15 +39,28 @@ class RoundRobinArbiter:
         return None
 
     def grant_indices(self, indices: Iterable[int]) -> Optional[int]:
-        """Grant among a sparse set of requesting indices."""
-        requests = [False] * self.size
-        any_req = False
+        """Grant among a sparse set of requesting indices; the same
+        winner :meth:`grant` picks from the equivalent request vector,
+        found without building one."""
+        size = self.size
+        pointer = self._pointer
+        winner = None
+        best = size
         for i in indices:
-            requests[i] = True
-            any_req = True
-        if not any_req:
+            if not 0 <= i < size:
+                raise ValueError(
+                    f"request index {i} out of range 0..{size - 1}"
+                )
+            # distance from the priority pointer, rotating past the end
+            offset = i - pointer if i >= pointer else i - pointer + size
+            if offset < best:
+                best = offset
+                winner = i
+        if winner is None:
             return None
-        return self.grant(requests)
+        self._pointer = (winner + 1) % size
+        self.grants += 1
+        return winner
 
     def peek_priority(self) -> int:
         """Current priority pointer (exposed for tests)."""

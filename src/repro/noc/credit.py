@@ -14,6 +14,8 @@ the sources (tree saturation).
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class CreditTracker:
     """Upstream view of one downstream input port's VC buffers."""

@@ -22,10 +22,15 @@ Checked invariant families (selectable via ``families``):
 * ``holder`` — every held output VC refers to a real input VC whose
   allocation agrees;
 * ``flit`` — every injected flit is ejected, dropped, or findable
-  exactly once inside the network.
+  exactly once inside the network;
+* ``counters`` — the state the routers and receivers keep incrementally
+  (flit tallies per router and per input port, the per-stage VC
+  worklists, each VC's resolved output port, each receiver's staged
+  count) agrees with a recount from the VC buffers and staging stores.
 
-The flit sweep supports two scopes.  ``"full"`` walks every router and
-link.  ``"active"`` walks only the network's active sets — settled
+The flit sweep, and the ``credit``, ``buffer`` and ``counters`` checks
+with it, support two scopes.  ``"full"`` walks every router and link.
+``"active"`` walks only the network's active sets — settled
 components provably hold no flits (settlement requires empty VC
 buffers, retransmission buffers, staging stores and eject queues), so
 the two scopes agree whenever the active-set bookkeeping is intact.
@@ -40,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.noc.network import Network
-from repro.noc.topology import OPPOSITE
+from repro.noc.topology import Direction
 
 #: every invariant family, in audit order
-FAMILIES = ("credit", "buffer", "holder", "flit")
+FAMILIES = ("credit", "buffer", "holder", "flit", "counters")
 
 
 class InvariantViolation(RuntimeError):
@@ -141,6 +146,8 @@ class NetworkValidator:
             self._check_holders()
         if "flit" in self.families:
             self._check_flit_conservation()
+        if "counters" in self.families:
+            self._check_counters()
         if raise_on_violation and not self.report.ok:
             raise InvariantViolation(
                 "; ".join(self.report.violations[-5:]), self.report
@@ -153,47 +160,67 @@ class NetworkValidator:
     # ------------------------------------------------------------------
     def _check_credit_conservation(self) -> None:
         net = self.net
-        for key, link in net.links.items():
-            out = net.output_port_of(key)
-            receiver = net.receiver_of(key)
-            in_port = net.routers[link.dst_router].inputs[OPPOSITE[key[1]]]
-            for vc in range(net.cfg.num_vcs):
-                visible = out.credits.available(vc)
-                pending = sum(
-                    1 for _, v in out.credits._pending if v == vc
+        num_vcs = net.cfg.num_vcs
+        all_visible = [net.cfg.vc_depth] * num_vcs
+        active_r, active_l = (
+            (net._active_routers, net._active_links)
+            if self.flit_scope == "active"
+            else (None, None)
+        )
+        for key, (link, receiver, in_port) in net._wiring.items():
+            out = net.routers[key[0]].outputs[key[1]]
+            visible = out.credits._credits
+            if (
+                active_r is not None
+                and visible == all_visible
+                and key not in active_l
+                and link.src_router not in active_r
+                and link.dst_router not in active_r
+            ):
+                # both ends settled and the wire idle: nothing is
+                # pending, unaccepted or buffered, so the full depth of
+                # every VC must be visible, and it is
+                continue
+            pending = [0] * num_vcs
+            for _, vc in out.credits._pending:
+                pending[vc] += 1
+            # an entry's reserved slot becomes *occupancy* once the
+            # downstream receiver accepts it (staged or delivered)
+            unaccepted = [0] * num_vcs
+            for tag in out.retrans._order:
+                entry = out.retrans._entries[tag]
+                vc = entry.out_vc
+                if (
+                    entry.vc_seq >= receiver._expected_seq[vc]
+                    and entry.vc_seq not in receiver._staging[vc]
+                ):
+                    unaccepted[vc] += 1
+            for vc in range(num_vcs):
+                occupancy = (
+                    len(in_port.vcs[vc].buffer) + len(receiver._staging[vc])
                 )
-                store = receiver._staging[vc]
-                expected = receiver._expected_seq[vc]
-                # an entry's reserved slot becomes *occupancy* once the
-                # downstream receiver accepts it (staged or delivered)
-                unaccepted = sum(
-                    1
-                    for entry in out.retrans
-                    if entry.out_vc == vc
-                    and entry.vc_seq >= expected
-                    and entry.vc_seq not in store
-                )
-                occupancy = in_port.vcs[vc].occupancy + len(store)
-                total = visible + pending + unaccepted + occupancy
+                total = visible[vc] + pending[vc] + unaccepted[vc] + occupancy
                 if total != net.cfg.vc_depth:
                     self._fail(
                         "credit",
                         f"credit conservation on link {key} vc {vc}: "
-                        f"visible={visible} pending={pending} "
-                        f"unaccepted={unaccepted} occupancy={occupancy} "
+                        f"visible={visible[vc]} pending={pending[vc]} "
+                        f"unaccepted={unaccepted[vc]} occupancy={occupancy} "
                         f"!= depth {net.cfg.vc_depth}",
                     )
 
     def _check_buffer_bounds(self) -> None:
-        net = self.net
-        for router in net.routers:
+        # a settled router's buffers are empty, so the flit sweep's
+        # scope loses nothing here either
+        routers, _ = self._flit_sweep_scope()
+        for router in routers:
             for pkey, port in router.inputs.items():
-                for vc_idx, vc in enumerate(port.vcs):
-                    if vc.occupancy > vc.capacity:
+                for vc in port.vcs:
+                    if len(vc.buffer) > vc.capacity:
                         self._fail(
                             "buffer",
-                            f"router {router.id} input {pkey} vc {vc_idx} "
-                            f"over capacity: {vc.occupancy}>{vc.capacity}",
+                            f"router {router.id} input {pkey} vc {vc.idx} "
+                            f"over capacity: {len(vc.buffer)}>{vc.capacity}",
                         )
             for direction, out in router.outputs.items():
                 if out.retrans.occupancy > out.retrans.depth:
@@ -270,7 +297,8 @@ class NetworkValidator:
         for router in routers:
             for port in router.inputs.values():
                 for vc in port.vcs:
-                    ids.update(id(f) for f in vc.buffer)
+                    if vc.buffer:
+                        ids.update(map(id, vc.buffer))
             for out in router.outputs.values():
                 ids.update(id(e.flit) for e in out.retrans)
             for eject in router.ejects.values():
@@ -290,3 +318,83 @@ class NetworkValidator:
                 f"ejected={net.stats.flits_ejected} in_network={in_network} "
                 f"dropped={net.stats.dropped_flits}",
             )
+
+    def _check_counters(self) -> None:
+        """Recount the incrementally kept router and receiver figures
+        from scratch and report any drift, over the same scope as the
+        flit sweep.  An active-scoped audit may skip settled routers:
+        tallies that missed a buffered flit would let its router
+        settle, stranding the flit outside the active sets, where the
+        flit sweep's conservation count misses it and fails."""
+        net = self.net
+        routers, link_keys = self._flit_sweep_scope()
+        for router in routers:
+            work = router.work
+            lists = {"rc": 0, "va": 0, "sa": 0}
+            total = 0
+            for position, (pkey, port) in enumerate(router.inputs.items()):
+                held = sum(len(vc.buffer) for vc in port.vcs)
+                if work.ports[position] != held:
+                    self._fail(
+                        "counters",
+                        f"router {router.id} input {pkey}: flit tally "
+                        f"{work.ports[position]} != {held} buffered",
+                    )
+                total += held
+                for vc_idx, vc in enumerate(port.vcs):
+                    if vc.buffer:
+                        stage = _worklist_of(vc)
+                        if stage is not None:
+                            lists[stage] |= vc.bit
+                    if (
+                        vc.route_out is not None or vc.out is not None
+                    ) and vc.out is not _resolved_output(router, vc.route_out):
+                        self._fail(
+                            "counters",
+                            f"router {router.id} input {pkey} vc {vc_idx}: "
+                            f"resolved output disagrees with route "
+                            f"{vc.route_out}",
+                        )
+            if work.flits != total:
+                self._fail(
+                    "counters",
+                    f"router {router.id}: flit tally {work.flits} != "
+                    f"{total} buffered",
+                )
+            for stage, expected in lists.items():
+                if getattr(work, stage) != expected:
+                    self._fail(
+                        "counters",
+                        f"router {router.id}: {stage} worklist "
+                        f"{getattr(work, stage):#x} != {expected:#x}",
+                    )
+        for key in link_keys:
+            receiver = net.receiver_of(key)
+            staged = sum(len(store) for store in receiver._staging.values())
+            if receiver.staged_count != staged:
+                self._fail(
+                    "counters",
+                    f"link {key}: staged count {receiver.staged_count} "
+                    f"!= {staged} staged",
+                )
+
+
+def _worklist_of(vc) -> "str | None":
+    """The stage worklist a VC belongs on, derived from its buffer and
+    pinned state alone (the definition in repro.noc.router.Worklists)."""
+    if not vc.buffer:
+        return None
+    if vc.route_out is None:
+        return "rc" if vc.buffer[0].is_head else None
+    if vc.out_vc is None and isinstance(vc.route_out, Direction):
+        return "va"
+    return "sa"
+
+
+def _resolved_output(router, route):
+    """The port object route compute must have resolved ``route`` to."""
+    if route is None:
+        return None
+    if isinstance(route, tuple):
+        return router.ejects.get(route[1])
+    return router.outputs.get(route)

@@ -18,11 +18,10 @@ from repro.noc.config import NoCConfig
 from repro.noc.flit import Flit, Packet
 from repro.noc.link import Link
 from repro.noc.receiver import EccReceiver
-from repro.noc.router import Router, SchedulingPolicy
+from repro.noc.router import InputPort, Router, SchedulingPolicy
 from repro.noc.routing import TableRouting, make_route_fn
 from repro.noc.stats import NetworkStats, PacketRecord, Sample
 from repro.noc.topology import (
-    Direction,
     LinkKey,
     OPPOSITE,
     all_links,
@@ -88,6 +87,9 @@ class Network:
             for rid in range(cfg.num_routers)
         ]
         self.links: dict[LinkKey, Link] = {}
+        #: each link with the receiver and input port at its far end,
+        #: resolved once so the cycle loop does no lookups
+        self._wiring: dict[LinkKey, tuple[Link, EccReceiver, InputPort]] = {}
         for key in all_links(cfg):
             src, dst = link_endpoints(cfg, key)
             link = Link(
@@ -102,6 +104,7 @@ class Network:
             in_port.upstream_credits = out_port.credits
             if lob_factory is not None:
                 out_port.lob = lob_factory(cfg, link)
+            self._wiring[key] = (link, in_port.receiver, in_port)
         for router in self.routers:
             router.finish_wiring()
 
@@ -115,12 +118,6 @@ class Network:
         self._link_order: dict[LinkKey, int] = {
             key: index for index, key in enumerate(self._link_keys)
         }
-        self._upstream_router: dict[tuple[int, Direction], int] = {}
-        for key in self._link_keys:
-            link = self.links[key]
-            self._upstream_router[(link.dst_router, OPPOSITE[key[1]])] = (
-                link.src_router
-            )
         self._full_sweep = False
         self._active_routers: set[int] = set(range(cfg.num_routers))
         self._active_links: set[LinkKey] = set(self._link_keys)
@@ -195,21 +192,16 @@ class Network:
 
     def _router_settled(self, router: Router) -> bool:
         """True when the router holds no state requiring cycle work."""
-        for port in router.inputs.values():
-            if port.occupancy:
-                return False
-            receiver = port.receiver
-            if receiver is not None and receiver.staged_count:
-                return False
-        for out in router.outputs.values():
-            if not out.retrans.is_empty:
-                return False
-            if not out.link.idle:
-                return False
-            if out.credits.in_flight:
-                return False
-        for eject in router.ejects.values():
-            if eject.queue:
+        if router.holds_flits():
+            return False
+        for out in router.out_ports:
+            link = out.link
+            if (
+                out.retrans._order
+                or link._in_flight
+                or link._acks
+                or out.credits._pending
+            ):
                 return False
         return True
 
@@ -339,21 +331,28 @@ class Network:
 
         purged = 0
         for router in self.routers:
-            for key, port in router.inputs.items():
-                for vc_idx, vc in enumerate(port.vcs):
+            work = router.work
+            for port in router.inputs.values():
+                for vc in port.vcs:
                     doomed = [f for f in vc.buffer if f.pkt_id == pkt_id]
                     if doomed:
+                        # the one place a buffer is rewritten rather than
+                        # pushed or popped: keep the tallies in step
                         vc.buffer = deque(
                             f for f in vc.buffer if f.pkt_id != pkt_id
                         )
+                        work.flits -= len(doomed)
+                        work.ports[vc.position] -= len(doomed)
                         for flit in doomed:
                             self.stats.on_flit_degraded(flit)
                             # the freed slot's credit goes back upstream
                             if port.upstream_credits is not None:
-                                port.upstream_credits.release(vc_idx, cycle)
+                                port.upstream_credits.release(vc.idx, cycle)
                         purged += len(doomed)
                     if vc.cur_pkt == pkt_id:
                         vc.reset_packet_state()
+                    elif doomed:
+                        vc.requeue()
             for out in router.outputs.values():
                 receiver = self.receiver_of(out.link.key)
                 for entry in list(out.retrans):
@@ -380,10 +379,7 @@ class Network:
 
     def receiver_of(self, key: LinkKey) -> EccReceiver:
         """The receive pipeline at the downstream end of ``key``."""
-        link = self.links[key]
-        return self.routers[link.dst_router].inputs[
-            OPPOSITE[key[1]]
-        ].receiver
+        return self._wiring[key][1]
 
     def output_port_of(self, key: LinkKey):
         return self.routers[key[0]].outputs[key[1]]
@@ -446,8 +442,9 @@ class Network:
 
         # Credit returns become visible.
         for router in routers:
-            for out in router.outputs.values():
-                out.credits.tick(cycle)
+            for out in router.out_ports:
+                if out.credits._pending:
+                    out.credits.tick(cycle)
         if prof is not None:
             _t = prof.lap("credit", _t)
 
@@ -458,30 +455,33 @@ class Network:
             _t = prof.lap("ack", _t)
 
         # Link arrivals -> receive pipeline (ECC + detection).
+        wiring = self._wiring
+        active_routers = self._active_routers
         for key in link_keys:
-            link = self.links[key]
+            link, receiver, _port = wiring[key]
+            if not link._in_flight:
+                continue
             arrivals = link.pop_arrivals(cycle)
             if not arrivals:
                 continue
-            receiver = self.receiver_of(key)
             for tx in arrivals:
                 receiver.process(tx, cycle)
-            self._active_routers.add(link.dst_router)
+            active_routers.add(link.dst_router)
 
         # Staged flits drop into their VC buffers.
         for key in link_keys:
-            link = self.links[key]
-            receiver = self.receiver_of(key)
-            in_port = self.routers[link.dst_router].inputs[OPPOSITE[key[1]]]
+            link, receiver, in_port = wiring[key]
+            if not receiver.staged_count:
+                continue
             discarded_before = receiver.flits_discarded
             deliveries = receiver.take_deliveries(cycle)
             for vc, flit in deliveries:
                 in_port.vcs[vc].push(flit)
             if deliveries:
-                self._active_routers.add(link.dst_router)
+                active_routers.add(link.dst_router)
             if receiver.flits_discarded != discarded_before:
                 # Consuming a tombstone released an upstream credit.
-                self._active_routers.add(link.src_router)
+                active_routers.add(link.src_router)
         if prof is not None:
             _t = prof.lap("ecc", _t)
 
@@ -499,23 +499,31 @@ class Network:
         if prof is not None:
             _t = prof.lap("eject", _t)
 
-        # LT launch, ST, VA, RC.
+        # LT launch, ST, VA, RC.  Each stage runs only where its
+        # worklist holds a VC.
+        active_links = self._active_links
         for router in routers:
-            router.launch_links(cycle, self.codec)
+            launched = router.launch_links(cycle, self.codec)
+            if launched:
+                # newly launched transmissions put their links in play
+                active_links.update(launched)
         for router in routers:
-            router.switch_traverse(cycle)
-            for direction in router.credit_release_dirs:
-                self._active_routers.add(
-                    self._upstream_router[(router.id, direction)]
-                )
+            if router.work.sa:
+                router.switch_traverse(cycle)
+                for direction in router.credit_release_dirs:
+                    active_routers.add(
+                        router.inputs[direction].receiver.link.src_router
+                    )
         if prof is not None:
             _t = prof.lap("traverse", _t)
         for router in routers:
-            router.vc_allocate(cycle)
+            if router.work.va:
+                router.vc_allocate(cycle)
         if prof is not None:
             _t = prof.lap("arbitrate", _t)
         for router in routers:
-            router.route_compute(cycle)
+            if router.work.rc:
+                router.route_compute(cycle)
         if prof is not None:
             _t = prof.lap("route", _t)
 
@@ -548,11 +556,6 @@ class Network:
         self.cycle = cycle + 1
 
         if not full:
-            # Newly launched transmissions put their links in play.
-            for router in routers:
-                for out in router.outputs.values():
-                    if not out.link.idle:
-                        self._active_links.add(out.link.key)
             # Lazy prune: drop whatever settled this cycle.  Iterating
             # the sets themselves (instead of the full canonical lists)
             # keeps the prune O(active); membership results are
@@ -560,13 +563,16 @@ class Network:
             self._active_links = {
                 key
                 for key in self._active_links
-                if not self.links[key].idle
-                or self.receiver_of(key).staged_count
+                if wiring[key][0]._in_flight
+                or wiring[key][0]._acks
+                or wiring[key][1].staged_count
             }
+            all_routers = self.routers
             self._active_routers = {
                 rid
                 for rid in self._active_routers
-                if not self._router_settled(self.routers[rid])
+                if all_routers[rid].work.flits
+                or not self._router_settled(all_routers[rid])
             }
         if prof is not None:
             prof.lap("active", _t)
@@ -611,25 +617,29 @@ class Network:
 
     def collect_sample(self) -> Sample:
         cfg = self.cfg
-        input_util = sum(r.link_input_occupancy() for r in self.routers)
-        output_util = sum(r.output_occupancy() for r in self.routers)
-        injection_util = sum(r.injection_occupancy() for r in self.routers)
-        blocked = sum(
-            1 for r in self.routers if r.any_output_blocked(self.cycle)
+        cycle = self.cycle
+        input_util = output_util = injection_util = blocked = 0
+        for router in self.routers:
+            if router.work.flits:
+                injected = router.injection_occupancy()
+                injection_util += injected
+                input_util += router.work.flits - injected
+            output_util += router.output_occupancy()
+            blocked += router.any_output_blocked(cycle)
+        # only a core with a backlog can be blocked
+        blocked_cores: dict[int, int] = {}
+        for core in self._backlogged:
+            if self.core_blocked(core):
+                rid = cfg.router_of_core(core)
+                blocked_cores[rid] = blocked_cores.get(rid, 0) + 1
+        all_full = sum(
+            1 for n in blocked_cores.values() if n == cfg.concentration
         )
-        all_full = 0
-        half_full = 0
-        for rid in range(cfg.num_routers):
-            cores = [
-                cfg.core_of(rid, local) for local in range(cfg.concentration)
-            ]
-            full = sum(1 for c in cores if self.core_blocked(c))
-            if full == cfg.concentration:
-                all_full += 1
-            if full > cfg.concentration / 2:
-                half_full += 1
+        half_full = sum(
+            1 for n in blocked_cores.values() if n > cfg.concentration / 2
+        )
         sample = Sample(
-            cycle=self.cycle,
+            cycle=cycle,
             input_utilization=input_util,
             output_utilization=output_util,
             injection_utilization=injection_util,
@@ -653,15 +663,10 @@ class Network:
         if self.traffic is not None and not self.traffic.done(self.cycle):
             return False
         for router in self.routers:
-            if any(p.occupancy for p in router.inputs.values()):
+            if router.holds_flits() or any(
+                not o.retrans.is_empty for o in router.outputs.values()
+            ):
                 return False
-            if any(not o.retrans.is_empty for o in router.outputs.values()):
-                return False
-            if any(e.queue for e in router.ejects.values()):
-                return False
-            for key, port in router.inputs.items():
-                if port.receiver is not None and port.receiver.staged_count:
-                    return False
         return all(link.idle for link in self.links.values())
 
     def run_until_drained(

@@ -19,17 +19,29 @@ scrambled flit (2+4).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.ecc import SECDED_72_64, DecodeResult, DecodeStatus, Secded
-from repro.noc.flit import layout_for, unpack_header
+from repro.noc.flit import HeaderLayout, layout_for
 from repro.noc.link import AckMessage, Link, Transmission
 from repro.noc.retrans import NackAdvice
+from repro.util.bits import mask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.config import NoCConfig
     from repro.noc.flit import Flit
+
+
+@functools.lru_cache(maxsize=None)
+def _header_fields(layout: HeaderLayout) -> tuple[tuple[int, int], ...]:
+    """(offset, mask) of the header fields a head flit is re-read from:
+    source router, destination router, memory address."""
+    return tuple(
+        (offset, mask(width))
+        for offset, width in (layout.src, layout.dst, layout.mem)
+    )
 
 
 class StagedFlit:
@@ -70,10 +82,14 @@ class EccReceiver:
         self.link = link
         self.codec = codec
         self.layout = layout_for(cfg)
+        self._header_fields = _header_fields(self.layout)
         #: per-VC resequencing store: vc -> {vc_seq: StagedFlit}
         self._staging: dict[int, dict[int, StagedFlit]] = {
             vc: {} for vc in range(cfg.num_vcs)
         }
+        #: entries across every staging store, kept in step with them
+        #: by :meth:`_stage` and :meth:`take_deliveries`
+        self.staged_count = 0
         #: next vc_seq expected to be delivered, per VC
         self._expected_seq = [0] * cfg.num_vcs
         #: vc_seq numbers dropped upstream before acceptance; the
@@ -180,10 +196,12 @@ class EccReceiver:
         silent data corruption on a head flit re-routes the packet."""
         flit.data = data
         if flit.is_head:
-            fields = unpack_header(data, self.layout)
-            flit.src_router = fields["src_router"]
-            flit.dst_router = fields["dst_router"]
-            flit.mem_addr = fields["mem_addr"]
+            (src, src_mask), (dst, dst_mask), (mem, mem_mask) = (
+                self._header_fields
+            )
+            flit.src_router = data >> src & src_mask
+            flit.dst_router = data >> dst & dst_mask
+            flit.mem_addr = data >> mem & mem_mask
 
     # -- graceful degradation --------------------------------------------
     def _discard(self, tx: Transmission, cycle: int) -> None:
@@ -259,7 +277,10 @@ class EccReceiver:
 
     # -- staging ----------------------------------------------------------
     def _stage(self, staged: StagedFlit) -> None:
-        self._staging[staged.vc][staged.vc_seq] = staged
+        store = self._staging[staged.vc]
+        if staged.vc_seq not in store:
+            self.staged_count += 1
+        store[staged.vc_seq] = staged
 
     def take_deliveries(self, cycle: int) -> list[tuple[int, "Flit"]]:
         """Flits ready to be written into the input VC buffers this
@@ -267,18 +288,21 @@ class EccReceiver:
         out: list[tuple[int, "Flit"]] = []
         for vc, store in self._staging.items():
             skipped = self._skipped[vc]
+            if not store and not skipped:
+                continue
             while True:
                 expected = self._expected_seq[vc]
                 if expected in skipped:
                     skipped.discard(expected)
                     self._expected_seq[vc] = expected + 1
                     continue
-                staged = store.get(expected)
-                if staged is None:
+                if expected not in store:
                     break
+                staged = store[expected]
                 if staged.release_cycle is None or staged.release_cycle > cycle:
                     break
                 del store[expected]
+                self.staged_count -= 1
                 self._expected_seq[vc] = expected + 1
                 if staged.discard:
                     # Tombstone consumed: the buffer slot it reserved is
@@ -294,10 +318,6 @@ class EccReceiver:
                 staged.flit.hops += 1
                 out.append((vc, staged.flit))
         return out
-
-    @property
-    def staged_count(self) -> int:
-        return sum(len(store) for store in self._staging.values())
 
     @property
     def idle(self) -> bool:

@@ -9,6 +9,12 @@ The simulator is cycle-driven: the network calls the phase methods in a
 fixed order every cycle, and per-flit / per-VC ``*_cycle`` guards ensure
 a flit advances at most one stage per cycle, so latency through an
 uncongested router is the paper's 5 cycles (4 in-router stages + LT).
+
+Router state is kept incrementally rather than rescanned: flit tallies
+per input port and per router, and per-stage VC worklists, all updated
+where a VC's state changes (see :class:`Worklists`).  Each stage visits
+only the VCs on its worklist; since the arbiters grant over index sets,
+outcomes depend on which VCs request, never on the visiting order.
 """
 
 from __future__ import annotations
@@ -56,16 +62,48 @@ class SchedulingPolicy:
         return True
 
 
+class Worklists:
+    """A router's incrementally kept state: flit tallies and per-stage
+    VC worklists, which its VCs update in place.
+
+    ``flits`` counts the flits buffered across the router's input VCs,
+    ``ports[p]`` those of the input port at wiring position ``p``.  The
+    worklists are bitmasks over the router's VCs (``VCState.bit``), and
+    membership is a pure function of a VC's state, re-derived by
+    :meth:`VCState.requeue` whenever that state changes:
+
+    * ``rc`` — a head flit at the front and no route yet;
+    * ``va`` — routed to a direction output, no downstream VC yet;
+    * ``sa`` — routed to an ejection port, or holding a downstream VC.
+
+    A VC with an empty buffer is on no list.  VCs hold this object,
+    never their port or router, so a network stays an acyclic object
+    graph that refcounting frees as soon as it is dropped: back-references
+    would leave every dropped network to the cyclic garbage collector.
+    """
+
+    __slots__ = ("flits", "ports", "rc", "va", "sa")
+
+    def __init__(self) -> None:
+        self.flits = 0
+        self.ports: list[int] = []
+        self.rc = self.va = self.sa = 0
+
+
 class VCState:
     """One virtual channel of an input port."""
 
-    __slots__ = ("capacity", "buffer", "route_out", "rc_cycle", "out_vc",
-                 "va_cycle", "cur_pkt")
+    __slots__ = ("capacity", "buffer", "route_out", "out", "rc_cycle",
+                 "out_vc", "va_cycle", "cur_pkt", "position", "idx", "flat",
+                 "bit", "_work")
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, position: int, idx: int, flat: int,
+                 work: Worklists):
         self.capacity = capacity
         self.buffer: deque[Flit] = deque()
         self.route_out: Optional[PortKey] = None
+        #: the OutputPort or EjectPort behind ``route_out``, resolved at RC
+        self.out: Union["OutputPort", "EjectPort", None] = None
         self.rc_cycle = -1
         self.out_vc: Optional[int] = None
         self.va_cycle = -1
@@ -73,6 +111,13 @@ class VCState:
         #: dropped packet can find and reset stale per-VC state even
         #: after the packet's flits have left the buffer
         self.cur_pkt: Optional[int] = None
+        #: the port's wiring position, the index within the port, and
+        #: the index within the router with its worklist bit
+        self.position = position
+        self.idx = idx
+        self.flat = flat
+        self.bit = 1 << flat
+        self._work = work
 
     @property
     def occupancy(self) -> int:
@@ -82,24 +127,56 @@ class VCState:
     def is_full(self) -> bool:
         return len(self.buffer) >= self.capacity
 
-    @property
-    def head(self) -> Optional[Flit]:
-        return self.buffer[0] if self.buffer else None
-
     def push(self, flit: Flit) -> None:
-        if self.is_full:
+        buffer = self.buffer
+        if len(buffer) >= self.capacity:
             raise RuntimeError("VC overflow: credit flow control broken")
-        self.buffer.append(flit)
+        buffer.append(flit)
+        work = self._work
+        work.flits += 1
+        work.ports[self.position] += 1
+        if len(buffer) == 1:
+            self.requeue()
 
     def pop(self) -> Flit:
-        return self.buffer.popleft()
+        flit = self.buffer.popleft()
+        work = self._work
+        work.flits -= 1
+        work.ports[self.position] -= 1
+        if not self.buffer:
+            # an empty VC is on no worklist
+            work.rc &= ~self.bit
+            work.va &= ~self.bit
+            work.sa &= ~self.bit
+        elif self.route_out is None:
+            self.requeue()
+        return flit
 
     def reset_packet_state(self) -> None:
         self.route_out = None
+        self.out = None
         self.rc_cycle = -1
         self.out_vc = None
         self.va_cycle = -1
         self.cur_pkt = None
+        self.requeue()
+
+    def requeue(self) -> None:
+        """Put this VC on the one worklist its state calls for."""
+        work = self._work
+        bit = self.bit
+        work.rc &= ~bit
+        work.va &= ~bit
+        work.sa &= ~bit
+        if not self.buffer:
+            return
+        if self.route_out is None:
+            if self.buffer[0].is_head:
+                work.rc |= bit
+        elif self.out_vc is None and isinstance(self.route_out, Direction):
+            work.va |= bit
+        else:
+            work.sa |= bit
 
 
 class InputPort:
@@ -108,19 +185,16 @@ class InputPort:
 
     __slots__ = ("key", "vcs", "receiver", "upstream_credits")
 
-    def __init__(self, key: PortKey, cfg: NoCConfig):
+    def __init__(self, key: PortKey, cfg: NoCConfig, position: int,
+                 work: Worklists):
         self.key = key
-        self.vcs = [VCState(cfg.vc_depth) for _ in range(cfg.num_vcs)]
+        base = position * cfg.num_vcs
+        self.vcs = [
+            VCState(cfg.vc_depth, position, idx, base + idx, work)
+            for idx in range(cfg.num_vcs)
+        ]
         self.receiver: Optional[EccReceiver] = None
         self.upstream_credits: Optional[CreditTracker] = None
-
-    @property
-    def occupancy(self) -> int:
-        return sum(vc.occupancy for vc in self.vcs)
-
-    @property
-    def is_full(self) -> bool:
-        return all(vc.is_full for vc in self.vcs)
 
 
 class OutputPort:
@@ -161,10 +235,7 @@ class OutputPort:
         """
         if self.retrans.is_full:
             return True
-        if all(
-            self.credits.available(vc) == 0
-            for vc in range(self.credits.num_vcs)
-        ):
+        if not any(self.credits.snapshot()):
             return True
         return (
             self.retrans.oldest_wait(cycle) > stall_window
@@ -202,21 +273,26 @@ class Router:
         self.route_fn = route_fn
         self.policy = policy or SchedulingPolicy()
 
+        #: flit tallies and stage worklists, updated by the VCs
+        self.work = Worklists()
         self.inputs: dict[PortKey, InputPort] = {}
         self.outputs: dict[Direction, OutputPort] = {}
         self.ejects: dict[int, EjectPort] = {}
         for local in range(cfg.concentration):
-            self.inputs[("inj", local)] = InputPort(("inj", local), cfg)
+            self.add_link_input(("inj", local))
             self.ejects[local] = EjectPort(
                 cfg.core_of(router_id, local), cfg.ejection_depth
             )
 
-        # Arbiters are created lazily once wiring is complete.
-        self._input_keys: list[PortKey] = []
+        # Lookups and arbiters are created once wiring is complete.
+        #: input ports by wiring position, output ports, and the VC
+        #: behind each worklist bit
+        self._ports: list[InputPort] = []
+        self.out_ports: list[OutputPort] = []
+        self._vc_of_bit: dict[int, VCState] = {}
         self._sa_input_arb: dict[PortKey, RoundRobinArbiter] = {}
         self._sa_output_arb: dict[PortKey, RoundRobinArbiter] = {}
         self._va_arb: dict[Direction, RoundRobinArbiter] = {}
-        self._wired = False
 
         # counters
         self.flits_switched = 0
@@ -232,9 +308,10 @@ class Router:
         self.routing_input: Optional[PortKey] = None
 
     # -- wiring (done by Network) ----------------------------------------
-    def add_link_input(self, from_direction: Direction) -> InputPort:
-        port = InputPort(from_direction, self.cfg)
-        self.inputs[from_direction] = port
+    def add_link_input(self, key: PortKey) -> InputPort:
+        port = InputPort(key, self.cfg, len(self.work.ports), self.work)
+        self.work.ports.append(0)
+        self.inputs[key] = port
         return port
 
     def add_link_output(self, direction: Direction, link: Link) -> OutputPort:
@@ -243,9 +320,13 @@ class Router:
         return port
 
     def finish_wiring(self) -> None:
-        self._input_keys = list(self.inputs.keys())
-        n_in = len(self._input_keys)
-        for key in self._input_keys:
+        self._ports = list(self.inputs.values())
+        self.out_ports = list(self.outputs.values())
+        self._vc_of_bit = {
+            vc.bit: vc for port in self._ports for vc in port.vcs
+        }
+        n_in = len(self._ports)
+        for key in self.inputs:
             self._sa_input_arb[key] = RoundRobinArbiter(self.cfg.num_vcs)
         out_keys: list[PortKey] = list(self.outputs.keys()) + [
             ("ej", local) for local in self.ejects
@@ -256,77 +337,66 @@ class Router:
             self._va_arb[direction] = RoundRobinArbiter(
                 n_in * self.cfg.num_vcs
             )
-        self._wired = True
 
     # -- BW/RC -------------------------------------------------------------
     def route_compute(self, cycle: int) -> None:
-        for port in self.inputs.values():
-            for vc in port.vcs:
-                head = vc.head
-                if (
-                    head is None
-                    or vc.route_out is not None
-                    or not head.is_head
-                    or head.last_move_cycle >= cycle
-                ):
-                    continue
-                vc.cur_pkt = head.pkt_id
-                if head.dst_router == self.id:
-                    local = head.dst_core % self.cfg.concentration
-                    vc.route_out = ("ej", local)
-                else:
-                    # arrival port, for routing functions that forbid
-                    # 180-degree turns (non-minimal containment detours)
-                    self.routing_input = port.key
-                    direction = self.route_fn(
-                        self.id, head.dst_router, head.src_router, self
-                    )
-                    if direction is None:
-                        # Routing says "local" but the id disagrees (can
-                        # happen after header SDC); eject here and let
-                        # the endpoint detect the misdelivery.
-                        local = head.dst_core % self.cfg.concentration
-                        vc.route_out = ("ej", local)
-                    else:
-                        vc.route_out = direction
-                vc.rc_cycle = cycle
+        pending = self.work.rc
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            vc = self._vc_of_bit[bit]
+            head = vc.buffer[0]
+            if head.last_move_cycle >= cycle:
+                continue
+            vc.cur_pkt = head.pkt_id
+            direction = None
+            if head.dst_router != self.id:
+                # arrival port, for routing functions that forbid
+                # 180-degree turns (non-minimal containment detours)
+                self.routing_input = self._ports[vc.position].key
+                direction = self.route_fn(
+                    self.id, head.dst_router, head.src_router, self
+                )
+            if direction is None:
+                # Local delivery — or routing says "local" but the id
+                # disagrees (can happen after header SDC): eject here
+                # and let the endpoint detect the misdelivery.
+                local = head.dst_core % self.cfg.concentration
+                vc.route_out = ("ej", local)
+                vc.out = self.ejects[local]
+            else:
+                vc.route_out = direction
+                vc.out = self.outputs[direction]
+            vc.rc_cycle = cycle
+            vc.requeue()
 
     # -- VA -----------------------------------------------------------------
     def vc_allocate(self, cycle: int) -> None:
+        pending = self.work.va
+        # Bucket requesters by their routed output; outputs with no
+        # requesters cost nothing.
+        buckets: dict[OutputPort, list[VCState]] = {}
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            vc = self._vc_of_bit[bit]
+            if vc.rc_cycle >= cycle or not vc.buffer[0].is_head:
+                continue
+            buckets.setdefault(vc.out, []).append(vc)
         num_vcs = self.cfg.num_vcs
-        # Single pass over the input VCs, bucketing requesters by their
-        # routed output; outputs with no requesters cost nothing.
-        buckets: dict[
-            Direction, dict[int, tuple[PortKey, int, VCState]]
-        ] = {}
-        for in_idx, key in enumerate(self._input_keys):
-            port = self.inputs[key]
-            for vc_idx, vc in enumerate(port.vcs):
-                if vc.out_vc is not None or vc.rc_cycle >= cycle:
-                    continue
-                route = vc.route_out
-                if route is None or isinstance(route, tuple):
-                    continue
-                buffer = vc.buffer
-                if not buffer or not buffer[0].is_head:
-                    continue
-                buckets.setdefault(route, {})[
-                    in_idx * num_vcs + vc_idx
-                ] = (key, vc_idx, vc)
         torus = self.cfg.topology == "torus"
         dateline_half = num_vcs // 2
-        for direction, req_info in buckets.items():
-            out = self.outputs[direction]
+        for out, requesters in buckets.items():
             holders = out.holders
             free_set = {v for v in range(num_vcs) if holders[v] is None}
             if not free_set:
                 continue
-            requesters: list[int] = []
-            allowed_by_flat: dict[int, list[int]] = {}
-            for flat, (key, vc_idx, vc) in req_info.items():
+            allowed_by_flat: dict[int, tuple[VCState, list[int]]] = {}
+            for vc in requesters:
+                head = vc.buffer[0]
                 allowed = [
                     v
-                    for v in self.policy.allowed_out_vcs(vc.buffer[0], num_vcs)
+                    for v in self.policy.allowed_out_vcs(head, num_vcs)
                     if v in free_set
                 ]
                 if torus:
@@ -337,8 +407,8 @@ class Router:
                     high = dateline_high(
                         self.cfg,
                         self.id,
-                        vc.buffer[0].src_router,
-                        direction,
+                        head.src_router,
+                        out.direction,
                     )
                     allowed = [
                         v
@@ -346,86 +416,78 @@ class Router:
                         if (v >= dateline_half) == high
                     ]
                 if allowed:
-                    requesters.append(flat)
-                    allowed_by_flat[flat] = allowed
-            if not requesters:
+                    allowed_by_flat[vc.flat] = (vc, allowed)
+            if not allowed_by_flat:
                 continue
-            winner = self._va_arb[direction].grant_indices(requesters)
-            if winner is None:
-                continue
-            key, vc_idx, vc = req_info[winner]
-            grant_vc = allowed_by_flat[winner][0]
+            vc, allowed = allowed_by_flat[
+                self._va_arb[out.direction].grant_indices(allowed_by_flat)
+            ]
+            grant_vc = allowed[0]
             vc.out_vc = grant_vc
             vc.va_cycle = cycle
-            out.holders[grant_vc] = (key, vc_idx)
+            out.holders[grant_vc] = (self._ports[vc.position].key, vc.idx)
             out.holder_pkts[grant_vc] = vc.buffer[0].pkt_id
+            vc.requeue()
 
     # -- SA + ST -------------------------------------------------------------
-    def _movable(self, port: InputPort, vc: VCState, cycle: int) -> bool:
-        buffer = vc.buffer
-        if not buffer:
-            return False
-        head = buffer[0]
-        if head.last_move_cycle >= cycle:
-            return False
-        if vc.route_out is None or vc.rc_cycle >= cycle:
-            return False
-        if not self.policy.flit_may_use_switch(head, cycle):
-            return False
-        route = vc.route_out
-        if isinstance(route, tuple):  # eject
-            return not self.ejects[route[1]].is_full
-        out = self.outputs[route]
-        if vc.out_vc is None or vc.va_cycle >= cycle:
-            return False
-        if out.retrans.is_full:
-            return False
-        if not self.policy.may_admit_retrans(head, out.retrans):
-            return False
-        return out.credits.available(vc.out_vc) > 0
-
     def switch_traverse(self, cycle: int) -> int:
         """Run SA then move the winning flits through the crossbar.
 
         Returns the number of flits switched.
         """
         self.credit_release_dirs.clear()
-        # Input-side arbitration: each input port nominates one VC.
-        nominations: dict[PortKey, tuple[int, VCState]] = {}
+        pending = self.work.sa
+        policy = self.policy
+        # Input-side arbitration: each input port nominates one of its
+        # movable VCs.
+        movable: dict[int, list[int]] = {}
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            vc = self._vc_of_bit[bit]
+            head = vc.buffer[0]
+            if head.last_move_cycle >= cycle or vc.rc_cycle >= cycle:
+                continue
+            if not policy.flit_may_use_switch(head, cycle):
+                continue
+            out = vc.out
+            if vc.out_vc is None:  # ejection
+                if out.is_full:
+                    continue
+            elif (
+                vc.va_cycle >= cycle
+                or len(out.retrans._entries) >= out.retrans.depth
+                or not policy.may_admit_retrans(head, out.retrans)
+                or out.credits._credits[vc.out_vc] <= 0
+            ):
+                continue
+            if vc.position in movable:
+                movable[vc.position].append(vc.idx)
+            else:
+                movable[vc.position] = [vc.idx]
+        ports = self._ports
+        nominations: dict[int, VCState] = {}
         requests_per_out: dict[PortKey, list[int]] = {}
-        for in_idx, key in enumerate(self._input_keys):
-            port = self.inputs[key]
-            candidates = [
-                vc_idx
-                for vc_idx, vc in enumerate(port.vcs)
-                if self._movable(port, vc, cycle)
-            ]
-            if not candidates:
-                continue
-            pick = self._sa_input_arb[key].grant_indices(candidates)
-            if pick is None:
-                continue
-            vc = port.vcs[pick]
-            nominations[key] = (pick, vc)
-            requests_per_out.setdefault(vc.route_out, []).append(in_idx)
+        for position, idxs in movable.items():
+            port = ports[position]
+            vc = port.vcs[self._sa_input_arb[port.key].grant_indices(idxs)]
+            nominations[position] = vc
+            if vc.route_out in requests_per_out:
+                requests_per_out[vc.route_out].append(position)
+            else:
+                requests_per_out[vc.route_out] = [position]
 
         # Output-side arbitration: one winner per output.
-        moved = 0
-        for out_key, in_indices in requests_per_out.items():
-            winner_idx = self._sa_output_arb[out_key].grant_indices(in_indices)
-            if winner_idx is None:
-                continue
-            key = self._input_keys[winner_idx]
-            vc_idx, vc = nominations[key]
+        for out_key, positions in requests_per_out.items():
+            vc = nominations[
+                self._sa_output_arb[out_key].grant_indices(positions)
+            ]
             flit = vc.pop()
             flit.last_move_cycle = cycle
-            moved += 1
-            self.flits_switched += 1
-
-            if isinstance(out_key, tuple):  # ejection
-                self.ejects[out_key[1]].queue.append(flit)
+            out = vc.out
+            if vc.out_vc is None:  # ejection
+                out.queue.append(flit)
             else:
-                out = self.outputs[out_key]
                 tag = out.retrans.admit(flit, vc.out_vc, cycle)
                 assert tag is not None, "retrans admit after is_full check"
                 entry = out.retrans.get(tag)
@@ -434,19 +496,27 @@ class Router:
                 out.credits.consume(vc.out_vc)
 
             # Free the input buffer slot: return a credit upstream.
-            port = self.inputs[key]
+            port = ports[vc.position]
             if port.upstream_credits is not None:
-                port.upstream_credits.release(vc_idx, cycle)
-                self.credit_release_dirs.append(key)
+                port.upstream_credits.release(vc.idx, cycle)
+                self.credit_release_dirs.append(port.key)
 
             if flit.is_tail:
                 vc.reset_packet_state()
+        moved = len(requests_per_out)
+        self.flits_switched += moved
         return moved
 
     # -- LT (output side) -----------------------------------------------------
-    def launch_links(self, cycle: int, codec: "Secded") -> None:
-        for out in self.outputs.values():
-            if out.link.disabled or out.link.paused:
+    def launch_links(self, cycle: int, codec: "Secded") -> list:
+        """Launch one ready flit per output link; returns the keys of
+        the links launched on."""
+        launched = []
+        for out in self.out_ports:
+            link = out.link
+            # the emptiness tests in the stepping loops read the
+            # containers directly: a property read is a Python call
+            if not out.retrans._order or link.disabled or link.paused:
                 continue
             candidates = [
                 entry
@@ -473,12 +543,16 @@ class Router:
                 ob=descriptor,
                 launch_cycle=cycle,
             )
-            out.link.launch(tx, cycle)
+            link.launch(tx, cycle)
             out.retrans.mark_launched(entry.tag, cycle)
+            launched.append((self.id, out.direction))
+        return launched
 
     # -- ACK processing ----------------------------------------------------
     def process_acks(self, cycle: int) -> None:
-        for out in self.outputs.values():
+        for out in self.out_ports:
+            if not out.link._acks:
+                continue
             for ack in out.link.pop_acks(cycle):
                 if out.link.ack_hooks:
                     entry_for_hook = out.retrans.get(ack.tag)
@@ -513,19 +587,25 @@ class Router:
         return delivered
 
     # -- introspection ------------------------------------------------------
+    def holds_flits(self) -> bool:
+        """A flit sits in an input VC, a link input's receive pipeline
+        or an ejection queue (attribute reads, no buffer scans)."""
+        if self.work.flits:
+            return True
+        for port in self._ports:
+            if port.receiver is not None and port.receiver.staged_count:
+                return True
+        for eject in self.ejects.values():
+            if eject.queue:
+                return True
+        return False
+
     def link_input_occupancy(self) -> int:
-        return sum(
-            port.occupancy
-            for key, port in self.inputs.items()
-            if isinstance(key, Direction)
-        )
+        return self.work.flits - self.injection_occupancy()
 
     def injection_occupancy(self) -> int:
-        return sum(
-            port.occupancy
-            for key, port in self.inputs.items()
-            if isinstance(key, tuple)
-        )
+        # injection ports are wired first, one per local core
+        return sum(self.work.ports[:self.cfg.concentration])
 
     def output_occupancy(self) -> int:
         return sum(out.retrans.occupancy for out in self.outputs.values())
@@ -544,29 +624,19 @@ class Router:
         links' wires are accounted separately through the network's
         active-link set.
         """
-        for port in self.inputs.values():
-            if port.occupancy:
-                return cycle
-            receiver = port.receiver
-            if receiver is not None and receiver.staged_count:
-                return cycle
-        for eject in self.ejects.values():
-            if eject.queue:
-                return cycle
+        if self.holds_flits():
+            return cycle
         best: Optional[int] = None
         for out in self.outputs.values():
-            when = out.retrans.next_event_cycle(cycle)
-            if when is not None:
-                if when <= cycle:
-                    return cycle
-                if best is None or when < best:
-                    best = when
-            when = out.credits.next_visible_cycle()
-            if when is not None:
-                if when <= cycle:
-                    return cycle
-                if best is None or when < best:
-                    best = when
+            for when in (
+                out.retrans.next_event_cycle(cycle),
+                out.credits.next_visible_cycle(),
+            ):
+                if when is not None:
+                    if when <= cycle:
+                        return cycle
+                    if best is None or when < best:
+                        best = when
         return best
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

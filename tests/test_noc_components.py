@@ -1,6 +1,10 @@
 """Unit tests for arbiters, credits, retransmission buffers and links."""
 
+import typing
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.noc.arbiters import MatrixArbiter, RoundRobinArbiter
 from repro.noc.credit import CreditTracker
@@ -51,6 +55,33 @@ class TestRoundRobinArbiter:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             RoundRobinArbiter(2).grant([True])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sparse_grant_matches_request_vector(self, data):
+        """grant_indices picks from the index set exactly what grant
+        picks from the equivalent boolean vector, and leaves the same
+        pointer and grant count behind."""
+        size = data.draw(st.integers(1, 36))
+        rounds = data.draw(
+            st.lists(st.lists(st.integers(0, size - 1), max_size=8),
+                     max_size=25)
+        )
+        sparse, vector = RoundRobinArbiter(size), RoundRobinArbiter(size)
+        for indices in rounds:
+            requests = [i in indices for i in range(size)]
+            assert sparse.grant_indices(indices) == vector.grant(requests)
+            assert sparse.peek_priority() == vector.peek_priority()
+            assert sparse.grants == vector.grants
+
+    @pytest.mark.parametrize("bad", [-1, -5, 5, 6])
+    def test_grant_indices_rejects_out_of_range(self, bad):
+        arb = RoundRobinArbiter(5)
+        arb.grant_indices([2])
+        with pytest.raises(ValueError):
+            arb.grant_indices([1, bad])
+        # a rejected request leaves the arbiter untouched
+        assert arb.peek_priority() == 3 and arb.grants == 1
 
 
 class TestMatrixArbiter:
@@ -114,6 +145,10 @@ class TestCreditTracker:
         t.release(0, 3)
         t.tick(3)
         assert t.available(0) == 1
+
+    def test_next_visible_cycle_annotation_resolves(self):
+        hints = typing.get_type_hints(CreditTracker.next_visible_cycle)
+        assert hints["return"] == Optional[int]
 
 
 class TestRetransBuffer:
