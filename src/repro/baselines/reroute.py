@@ -91,6 +91,7 @@ def updown_table(
 
     # State graph: (router, still_going_up).  An up-move keeps phase;
     # a down-move flips to the down phase; down->up is illegal.
+    adjacency = [neighbors(cfg, r) for r in range(cfg.num_routers)]
     table: dict[tuple[int, int], Direction] = {}
     for dst in range(cfg.num_routers):
         # Backward BFS from dst over the state graph to find, for every
@@ -100,7 +101,7 @@ def updown_table(
         for src in range(cfg.num_routers):
             if src == dst:
                 continue
-            first = _first_hop(cfg, blocked, levels, src, dst)
+            first = _first_hop(adjacency, blocked, levels, src, dst)
             if first is None:
                 raise UnroutableError(
                     f"no up*/down* path from {src} to {dst}"
@@ -110,7 +111,7 @@ def updown_table(
 
 
 def _first_hop(
-    cfg: NoCConfig,
+    adjacency: list[dict[Direction, int]],
     blocked: set[LinkKey],
     levels: dict[int, int],
     src: int,
@@ -127,7 +128,7 @@ def _first_hop(
         if node == dst:
             goal = state
             break
-        for direction, nxt in neighbors(cfg, node).items():
+        for direction, nxt in adjacency[node].items():
             if (node, direction) in blocked:
                 continue
             up_move = _is_up_move(levels, node, nxt)

@@ -5,10 +5,10 @@ correction, double-error detection) codes: one flipped bit is silently
 corrected, two flipped bits are *detected but uncorrectable* and force a
 retransmission.  :class:`repro.ecc.hamming.Secded` implements a
 bit-accurate extended Hamming SECDED(72,64) codec so the trojan's 2-bit
-payloads interact with the link exactly as in hardware.
+payloads interact with the link exactly as in hardware.  The numpy
+codec for analysis, :mod:`repro.ecc.batch`, is imported on its own.
 """
 
-from repro.ecc.batch import BATCH_SECDED, BatchSecded
 from repro.ecc.hamming import (
     DecodeResult,
     DecodeStatus,
@@ -17,8 +17,6 @@ from repro.ecc.hamming import (
 )
 
 __all__ = [
-    "BATCH_SECDED",
-    "BatchSecded",
     "DecodeResult",
     "DecodeStatus",
     "Secded",

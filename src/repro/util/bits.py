@@ -9,7 +9,7 @@ C call).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def mask(width: int) -> int:
@@ -77,9 +77,9 @@ def rotr(value: int, amount: int, width: int) -> int:
 class BitPermutation:
     """A fixed permutation of the bits of a ``width``-bit word.
 
-    The permutation is applied with per-byte lookup tables (built once at
-    construction), so ``apply`` costs ``ceil(width / 8)`` table lookups
-    instead of ``width`` single-bit moves.  This is the workhorse behind
+    ``apply`` costs ``ceil(width / 8)`` lookups in per-byte tables
+    instead of ``width`` single-bit moves; the tables are built on first
+    use, since most links never shuffle.  This is the workhorse behind
     the L-Ob *shuffle* obfuscation method.
 
     Parameters
@@ -101,24 +101,20 @@ class BitPermutation:
         for src, dst in enumerate(permutation):
             inv[dst] = src
         self._inv = tuple(inv)
-        self._fwd_tables = self._build_tables(self._perm)
-        self._inv_tables = self._build_tables(self._inv)
+        self._fwd_tables: Optional[list[list[int]]] = None
+        self._inv_tables: Optional[list[list[int]]] = None
 
     @staticmethod
     def _build_tables(perm: Sequence[int]) -> list[list[int]]:
-        width = len(perm)
-        nbytes = (width + 7) // 8
+        # entry v = entry (v without its lowest set bit) | that bit's image
         tables: list[list[int]] = []
-        for byte_idx in range(nbytes):
+        for base in range(0, len(perm), 8):
+            bits = [1 << dst for dst in perm[base:base + 8]]
+            bits += [0] * (8 - len(bits))
             table = [0] * 256
-            base = byte_idx * 8
-            for value in range(256):
-                scattered = 0
-                bits_in_byte = min(8, width - base)
-                for j in range(bits_in_byte):
-                    if value >> j & 1:
-                        scattered |= 1 << perm[base + j]
-                table[value] = scattered
+            for value in range(1, 256):
+                low = value & -value
+                table[value] = table[value ^ low] | bits[low.bit_length() - 1]
             tables.append(table)
         return tables
 
@@ -132,10 +128,14 @@ class BitPermutation:
 
     def apply(self, value: int) -> int:
         """Permute the bits of ``value`` forward."""
+        if self._fwd_tables is None:
+            self._fwd_tables = self._build_tables(self._perm)
         return self._apply_tables(self._fwd_tables, value)
 
     def invert(self, value: int) -> int:
         """Undo :meth:`apply`."""
+        if self._inv_tables is None:
+            self._inv_tables = self._build_tables(self._inv)
         return self._apply_tables(self._inv_tables, value)
 
     @classmethod

@@ -1,5 +1,8 @@
 """Tests for the e2e obfuscation, TDM QoS and rerouting baselines."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +17,13 @@ from repro.baselines import (
 )
 from repro.core import TargetSpec, TaspTrojan
 from repro.noc import Network, NoCConfig, Packet, PAPER_CONFIG
-from repro.noc.topology import Direction, all_links
+from repro.noc.topology import (
+    OPPOSITE,
+    Direction,
+    all_links,
+    neighbor,
+    neighbors,
+)
 
 CFG = PAPER_CONFIG
 
@@ -285,3 +294,93 @@ class TestUpDownRouting:
             for dst in range(1, 16, 4):
                 if src != dst:
                     table.path(src, dst)
+
+
+def reference_updown(cfg, disabled, root=0):
+    """up*/down* next hops from one BFS per (src, dst) pair that looks up
+    each router's neighbours on every step; None when some pair is
+    unroutable.  The reference :func:`updown_table` must reproduce."""
+    from repro.baselines.reroute import _bfs_levels, _is_up_move
+
+    blocked = set()
+    for src, direction in disabled:
+        blocked.add((src, direction))
+        dst = neighbor(cfg, src, direction)
+        if dst is not None:
+            blocked.add((dst, OPPOSITE[direction]))
+    levels = _bfs_levels(cfg, blocked, root)
+    if len(levels) != cfg.num_routers:
+        return None
+    table = {}
+    for dst in range(cfg.num_routers):
+        for src in range(cfg.num_routers):
+            if src == dst:
+                continue
+            start = (src, True)
+            parents = {}
+            seen = {start}
+            frontier = deque([start])
+            goal = None
+            while frontier:
+                state = frontier.popleft()
+                node, going_up = state
+                if node == dst:
+                    goal = state
+                    break
+                for direction, nxt in neighbors(cfg, node).items():
+                    if (node, direction) in blocked:
+                        continue
+                    up = _is_up_move(levels, node, nxt)
+                    if up and not going_up:
+                        continue
+                    nxt_state = (nxt, going_up and up)
+                    if nxt_state not in seen:
+                        seen.add(nxt_state)
+                        parents[nxt_state] = (state, direction)
+                        frontier.append(nxt_state)
+            if goal is None:
+                return None
+            state = goal
+            while state != start:
+                state, direction = parents[state]
+            table[(src, dst)] = direction
+    return table
+
+
+UPDOWN_TOPOLOGIES = {
+    "mesh4": CFG,
+    "mesh8": NoCConfig(mesh_width=8, mesh_height=8),
+    "mesh3x5": NoCConfig(mesh_width=3, mesh_height=5),
+    "torus4": NoCConfig(mesh_width=4, mesh_height=4, topology="torus"),
+    "torus8": NoCConfig(mesh_width=8, mesh_height=8, topology="torus"),
+    "express8": NoCConfig(mesh_width=8, mesh_height=8, express_interval=2),
+}
+
+
+class TestUpDownTableIdentity:
+    @pytest.mark.parametrize("name", sorted(UPDOWN_TOPOLOGIES))
+    def test_matches_per_step_reference(self, name):
+        cfg = UPDOWN_TOPOLOGIES[name]
+        links = all_links(cfg)
+        last = cfg.num_routers - 1
+        # seeded random fault sets, fewer on the 64-router topologies,
+        # where one reference table takes seconds; the final set cuts
+        # the last router off, so every topology checks an unroutable case
+        fault_sets = [
+            random.Random(seed).sample(
+                links, (seed + 1) * cfg.num_routers // 8
+            )
+            for seed in range(4 if cfg.num_routers <= 16 else 1)
+        ]
+        fault_sets.append([(last, d) for d in neighbors(cfg, last)])
+        outcomes = []
+        for disabled in fault_sets:
+            expected = reference_updown(cfg, disabled)
+            outcomes.append(expected is not None)
+            if expected is None:
+                with pytest.raises(UnroutableError):
+                    updown_table(cfg, disabled)
+                continue
+            table = updown_table(cfg, disabled)
+            assert {pair: table.route(*pair) for pair in expected} == expected
+        assert outcomes[0] and not outcomes[-1], outcomes

@@ -12,6 +12,7 @@ from repro.core import (
     ObMethod,
     PENALTY_CYCLES,
     TargetSpec,
+    build_mitigated_network,
 )
 from repro.noc import PAPER_CONFIG, Packet
 from repro.noc.retrans import NackAdvice, RetransBuffer
@@ -68,6 +69,20 @@ class TestLObCodec:
         data = 0xCAFEBABE
         assert a.apply(data, ObMethod.SHUFFLE, Granularity.FULL) == b.apply(
             data, ObMethod.SHUFFLE, Granularity.FULL
+        )
+
+    def test_mitigated_build_defers_shuffle_tables(self):
+        net = build_mitigated_network(PAPER_CONFIG)
+        perms = [
+            perm
+            for router in net.routers
+            for out in router.out_ports
+            if out.lob is not None
+            for perm in out.lob.codec._perms.values()
+        ]
+        assert len(perms) == len(net.links) * len(Granularity)
+        assert all(
+            p._fwd_tables is None and p._inv_tables is None for p in perms
         )
 
     def test_scramble_not_a_codec_transform(self):

@@ -1,5 +1,7 @@
 """Unit + property tests for repro.util.bits."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -159,6 +161,49 @@ class TestBitPermutation:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
+
+    def test_tables_built_on_first_use(self):
+        perm = BitPermutation.from_seed(64, 5)
+        assert perm._fwd_tables is None and perm._inv_tables is None
+        forward = perm.apply(0xDEADBEEF)
+        assert perm._fwd_tables is not None and perm._inv_tables is None
+        assert perm.invert(forward) == 0xDEADBEEF
+        assert perm._inv_tables is not None
+
+    # 42 and 22 are the L-Ob header and payload windows: partial last byte
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 22, 42, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+    def test_composed_tables_match_bitwise_reference(self, width, seed):
+        perm = BitPermutation.from_seed(width, seed)
+        perm.apply(0)
+        perm.invert(0)
+        assert perm._fwd_tables == _bitwise_tables(perm._perm)
+        assert perm._inv_tables == _bitwise_tables(perm._inv)
+
+    def test_pickled_before_first_use_matches_after_restore(self):
+        perm = BitPermutation.from_seed(42, 9)
+        restored = pickle.loads(pickle.dumps(perm))
+        assert restored._fwd_tables is None and restored._inv_tables is None
+        assert restored == perm and hash(restored) == hash(perm)
+        for value in (0, 1, mask(42), 0x2AB_CDEF_0123, 0x155_5555_5555):
+            assert restored.apply(value) == perm.apply(value)
+            assert restored.invert(value) == perm.invert(value)
+
+
+def _bitwise_tables(perm):
+    """Per-byte tables built entry by entry, testing each of the byte's
+    bits: the reference the composed tables must equal."""
+    tables = []
+    for base in range(0, len(perm), 8):
+        table = []
+        for value in range(256):
+            scattered = 0
+            for j in range(min(8, len(perm) - base)):
+                if value >> j & 1:
+                    scattered |= 1 << perm[base + j]
+            table.append(scattered)
+        tables.append(table)
+    return tables
 
 
 class TestTwoHotMasks:
