@@ -22,7 +22,13 @@ from typing import Iterable, Optional
 from repro.noc.config import NoCConfig
 from repro.noc.network import Network
 from repro.noc.routing import TableRouting
-from repro.noc.topology import Direction, LinkKey, neighbor, neighbors
+from repro.noc.topology import (
+    OPPOSITE,
+    Direction,
+    LinkKey,
+    neighbor,
+    neighbors,
+)
 
 
 class UnroutableError(RuntimeError):
@@ -43,17 +49,22 @@ def _bfs_levels(
                 continue
             # an undirected edge survives if at least one direction does
             fwd = (cur, direction) not in blocked
-            rev = (nxt, _opposite(direction)) not in blocked
+            rev = (nxt, OPPOSITE[direction]) not in blocked
             if fwd or rev:
                 levels[nxt] = levels[cur] + 1
                 frontier.append(nxt)
     return levels
 
 
-def _opposite(direction: Direction) -> Direction:
-    from repro.noc.topology import OPPOSITE
-
-    return OPPOSITE[direction]
+def _both_ways(cfg: NoCConfig, links: Iterable[LinkKey]) -> set[LinkKey]:
+    """Each directed link together with its reverse."""
+    both: set[LinkKey] = set()
+    for src, direction in links:
+        both.add((src, direction))
+        dst = neighbor(cfg, src, direction)
+        if dst is not None:
+            both.add((dst, OPPOSITE[direction]))
+    return both
 
 
 def _is_up_move(levels: dict[int, int], src: int, dst: int) -> bool:
@@ -78,12 +89,7 @@ def updown_table(
     reconfiguration that disables whole links is what Ariadne-class
     schemes distribute.
     """
-    blocked: set[LinkKey] = set()
-    for src, direction in disabled:
-        blocked.add((src, direction))
-        dst = neighbor(cfg, src, direction)
-        if dst is not None:
-            blocked.add((dst, _opposite(direction)))
+    blocked = _both_ways(cfg, disabled)
     levels = _bfs_levels(cfg, blocked, root)
     if len(levels) != cfg.num_routers:
         missing = set(range(cfg.num_routers)) - set(levels)
@@ -150,6 +156,14 @@ def _first_hop(
     return direction
 
 
+def disable_both_ways(network: Network, links: Iterable[LinkKey]) -> None:
+    """Take each link out of service in both directions, as
+    :func:`updown_table` avoids it.  A network built with that table
+    needs nothing else to run the Ariadne baseline."""
+    for key in _both_ways(network.cfg, links):
+        network.disable_link(key)
+
+
 def apply_rerouting(
     network: Network, infected: Iterable[LinkKey], root: int = 0
 ) -> TableRouting:
@@ -157,14 +171,7 @@ def apply_rerouting(
     links and reprogram every router with the up*/down* table."""
     infected = list(infected)
     table = updown_table(network.cfg, infected, root)
-    disabled: set[LinkKey] = set()
-    for src, direction in infected:
-        disabled.add((src, direction))
-        dst = neighbor(network.cfg, src, direction)
-        if dst is not None:
-            disabled.add((dst, _opposite(direction)))
-    for key in disabled:
-        network.disable_link(key)
+    disable_both_ways(network, infected)
     network.set_route_fn(table.route)
     network.routing_table = table
     return table

@@ -39,7 +39,9 @@ class MitigationConfig:
     """Everything the proposed mitigation adds to the router."""
 
     detector: DetectorConfig = DetectorConfig()
-    method_sequence: tuple = DEFAULT_METHOD_SEQUENCE
+    method_sequence: tuple[tuple[ObMethod, Granularity], ...] = (
+        DEFAULT_METHOD_SEQUENCE
+    )
     flow_log_capacity: int = 16
     reorder_window: int = 4
     #: design-time secret from which per-link shuffle keys derive

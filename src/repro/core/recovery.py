@@ -26,7 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.baselines.reroute import apply_rerouting, updown_table
+from repro.baselines.reroute import disable_both_ways, updown_table
 from repro.noc.config import NoCConfig
 from repro.noc.flit import Packet
 from repro.noc.network import Network
@@ -171,7 +171,7 @@ class RecoveryManager:
         fresh = Network(cfg, routing_table=table, e2e=old.e2e,
                         policy=old.policy)
         fresh.full_sweep = old.full_sweep
-        apply_rerouting(fresh, condemned)
+        disable_both_ways(fresh, condemned)
         if carry_tamperers:
             # the trojans are in the silicon: they persist across epochs
             for key, link in old.links.items():

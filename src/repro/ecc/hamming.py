@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.util.bits import mask, parity
+from repro.util.bits import byte_tables, mask, parity
 
 
 class DecodeStatus(enum.Enum):
@@ -110,12 +110,8 @@ class Secded:
         #: decode entries pack data | syndrome << data_bits | parity bit
         self._parity_shift = data_bits + self.check_bits
         self._bit_folds = self._decode_bit_entries()
-        self._enc_tables = self._byte_tables(
-            self._encode_bit_entries(), data_bits
-        )
-        self._dec_tables = self._byte_tables(
-            self._bit_folds, self.codeword_bits
-        )
+        self._enc_tables = byte_tables(self._encode_bit_entries(), data_bits)
+        self._dec_tables = byte_tables(self._bit_folds, self.codeword_bits)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -180,24 +176,6 @@ class Secded:
                 entry |= (cw_idx + 1) << self.data_bits
             entries.append(entry)
         return entries
-
-    @staticmethod
-    def _byte_tables(bit_entries: list[int], width: int) -> list[list[int]]:
-        """Per-byte tables over a ``width``-bit input: entry ``v`` is the
-        XOR of the single-bit entries of ``v``'s set bits, built from the
-        entry of ``v`` without its lowest set bit."""
-        tables = []
-        for base in range(0, width, 8):
-            singles = bit_entries[base:base + 8]
-            singles += [0] * (8 - len(singles))
-            table = [0] * 256
-            for value in range(1, 256):
-                low = value & -value
-                table[value] = (
-                    table[value ^ low] ^ singles[low.bit_length() - 1]
-                )
-            tables.append(table)
-        return tables
 
     # ------------------------------------------------------------------
     def encode(self, data: int) -> int:

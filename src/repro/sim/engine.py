@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.forensics import Forensics
 
 from repro.baselines.e2e import E2EObfuscator
-from repro.baselines.reroute import apply_rerouting, updown_table
+from repro.baselines.reroute import disable_both_ways, updown_table
 from repro.baselines.tdm import TdmConfig, TdmPolicy
 from repro.core.mitigation import build_mitigated_network
 from repro.core.tasp import TaspTrojan
@@ -36,6 +36,7 @@ from repro.resilience.detect import TrafficStatsDetector
 from repro.resilience.localize import TopologyLocalizer
 from repro.resilience.watchdog import RetransWatchdog
 from repro.sim.scenario import (
+    ENGINES,
     AppTraffic,
     ExplicitTraffic,
     FloodTraffic,
@@ -53,9 +54,6 @@ from repro.util.rng import SeededStream
 #: environment override for the engine mode; forked runner workers
 #: inherit it (the runner's --engine flag sets it before dispatch)
 ENGINE_ENV = "REPRO_ENGINE"
-
-#: valid Scenario.engine / Simulation(engine=...) values
-ENGINES = ("sweep", "event")
 
 
 def _resolve_engine(
@@ -254,9 +252,7 @@ class Simulation:
         build_cfg = cfg
         if defense.rerouted_links:
             build_cfg = dataclasses.replace(cfg, routing="table")
-            kwargs["routing_table"] = updown_table(
-                cfg, list(defense.rerouted_links)
-            )
+            kwargs["routing_table"] = updown_table(cfg, defense.rerouted_links)
         if defense.mitigated or defense.mitigation is not None:
             net = build_mitigated_network(
                 build_cfg, defense.mitigation, **kwargs
@@ -265,7 +261,7 @@ class Simulation:
             net = Network(build_cfg, **kwargs)
         net.full_sweep = full_sweep
         if defense.rerouted_links:
-            apply_rerouting(net, list(defense.rerouted_links))
+            disable_both_ways(net, defense.rerouted_links)
 
         self.network = net
         self.trojans = attach_trojan_specs(net, scenario.trojans)

@@ -24,18 +24,19 @@ onto the scenario layer does not move its published numbers.
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.detector import DetectorConfig
-from repro.core.lob import Granularity, ObMethod
 from repro.core.mitigation import MitigationConfig
 from repro.core.targets import TargetSpec
 from repro.core.tasp import TaspConfig
 from repro.noc.config import NoCConfig, PAPER_CONFIG
-from repro.noc.topology import Direction, LinkKey
+from repro.noc.topology import LinkKey
 from repro.resilience.containment import ContainmentConfig, ProbationConfig
 from repro.resilience.detect import DetectConfig
 from repro.resilience.localize import LocalizeConfig
@@ -46,39 +47,20 @@ from repro.sim.sentinel import SentinelSpec
 #: cached results are never revived under a colliding hash
 SCENARIO_FORMAT = 1
 
+#: valid Scenario.engine / Simulation(engine=...) values
+ENGINES = ("sweep", "event")
+
 
 class ScenarioDecodeError(ValueError):
     """A scenario payload cannot be decoded.
 
-    Raised with the offending key named — an unknown traffic ``kind``,
-    a missing required field, or an unexpected extra field — instead of
-    surfacing a bare ``KeyError``/``TypeError`` from deep inside the
-    codec.
+    Raised with the path of the damage named, e.g.
+    ``scenario.trojans[0]: missing required key 'config'`` — an unknown
+    traffic ``kind`` or enum name, a missing required key, an unexpected
+    extra key, a tuple of the wrong length, or a value the spec itself
+    rejects — instead of surfacing a bare ``KeyError``/``TypeError``
+    from deep inside the codec.
     """
-
-
-def _require(data: dict, key: str, where: str):
-    try:
-        return data[key]
-    except (KeyError, TypeError):
-        raise ScenarioDecodeError(
-            f"{where}: missing required key {key!r}"
-        ) from None
-
-
-def _build_spec(cls, data: dict, where: str):
-    """Construct a frozen spec dataclass from decoded fields, rejecting
-    unknown keys and naming missing ones."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    extra = sorted(set(data) - names)
-    if extra:
-        raise ScenarioDecodeError(
-            f"{where}: unexpected key(s) {', '.join(map(repr, extra))}"
-        )
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ScenarioDecodeError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -381,43 +363,14 @@ class Scenario:
     engine: str = "sweep"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("sweep", "event"):
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r} "
-                "(expected 'sweep' or 'event')"
+                f"unknown engine {self.engine!r} (expected one of {ENGINES})"
             )
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        cfg_fields = _plain_fields(self.cfg)
-        # topology keys are encoded only when set so every pre-topology
-        # scenario document (and its content hash) stays byte-identical
-        if cfg_fields["topology"] == "mesh":
-            del cfg_fields["topology"]
-        if not cfg_fields["express_interval"]:
-            del cfg_fields["express_interval"]
-        out = {
-            "format": SCENARIO_FORMAT,
-            "name": self.name,
-            "cfg": cfg_fields,
-            "traffic": [_encode_traffic(t) for t in self.traffic],
-            "trojans": [_encode_trojan(t) for t in self.trojans],
-            "faults": [_encode_fault(f) for f in self.faults],
-            "defense": _encode_defense(self.defense),
-            "duration": self.duration,
-            "max_cycles": self.max_cycles,
-            "stall_limit": self.stall_limit,
-            "sample_interval": self.sample_interval,
-            "sentinel": _encode_sentinel(self.sentinel),
-            "seed": self.seed,
-        }
-        # encoded only when present so pre-existing scenario hashes
-        # (result cache keys, checkpoint provenance) stay unchanged
-        if self.attacks:
-            out["attacks"] = [_encode_attack(a) for a in self.attacks]
-        if self.engine != "sweep":
-            out["engine"] = self.engine
-        return out
+        return {"format": SCENARIO_FORMAT, **_encode(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -427,39 +380,8 @@ class Scenario:
                 f"scenario format {fmt} not supported "
                 f"(this build reads format {SCENARIO_FORMAT})"
             )
-        cfg = _require(data, "cfg", "scenario")
-        if not isinstance(cfg, dict):
-            raise ScenarioDecodeError("scenario: 'cfg' must be an object")
-        return cls(
-            name=_require(data, "name", "scenario"),
-            cfg=_build_spec(NoCConfig, cfg, "scenario cfg"),
-            traffic=tuple(
-                _decode_traffic(t)
-                for t in _require(data, "traffic", "scenario")
-            ),
-            trojans=tuple(
-                _decode_trojan(t)
-                for t in _require(data, "trojans", "scenario")
-            ),
-            # tolerant .get: pre-attack scenario files stay decodable
-            attacks=tuple(
-                _decode_attack(a) for a in data.get("attacks", ())
-            ),
-            faults=tuple(
-                _decode_fault(f)
-                for f in _require(data, "faults", "scenario")
-            ),
-            defense=_decode_defense(_require(data, "defense", "scenario")),
-            duration=_require(data, "duration", "scenario"),
-            max_cycles=_require(data, "max_cycles", "scenario"),
-            stall_limit=_require(data, "stall_limit", "scenario"),
-            sample_interval=_require(data, "sample_interval", "scenario"),
-            # tolerant .get: pre-sentinel scenario files stay decodable
-            sentinel=_decode_sentinel(data.get("sentinel")),
-            seed=_require(data, "seed", "scenario"),
-            # tolerant .get: pre-engine scenario files stay decodable
-            engine=_decode_engine(data.get("engine", "sweep")),
-        )
+        body = {key: value for key, value in data.items() if key != "format"}
+        return _decode(cls, body, "scenario")
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -485,259 +407,130 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# codec internals
+# codec
 # ---------------------------------------------------------------------------
-def _plain_fields(obj) -> dict:
-    """Field dict of a dataclass whose values are all JSON-native."""
-    return {
-        f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-    }
+#: Fields added after scenario documents were already hashed.  Each may
+#: be absent on decode, meaning its default.  Those mapped to True are
+#: also left out of the encoding while at their default, so a document
+#: written before the field existed keeps its bytes and content hash.
+_LATE_FIELDS = {
+    (NoCConfig, "topology"): True,
+    (NoCConfig, "express_interval"): True,
+    (TrojanSpec, "disable_at"): True,
+    (DefenseSpec, "containment"): True,
+    (DefenseSpec, "probation"): True,
+    (DefenseSpec, "detector"): True,
+    (DefenseSpec, "localizer"): True,
+    (Scenario, "attacks"): True,
+    (Scenario, "engine"): True,
+    # always encoded, as null when unset
+    (Scenario, "sentinel"): False,
+}
+
+_hints = functools.cache(typing.get_type_hints)
+
+#: JSON-native as they are; most values in a document are these
+_SCALARS = (int, float, str, bool, type(None))
 
 
-def _encode_link(key: LinkKey) -> list:
-    return [key[0], key[1].name]
-
-
-def _decode_link(data) -> LinkKey:
-    return (data[0], Direction[data[1]])
-
-
-def _encode_traffic(spec: TrafficSpec) -> dict:
-    kind = _KIND_OF_TRAFFIC[type(spec)]
-    if isinstance(spec, ExplicitTraffic):
-        body = {
-            "packets": [
-                {**_plain_fields(p), "payload": list(p.payload)}
-                for p in spec.packets
-            ]
-        }
-    else:
-        body = _plain_fields(spec)
-        for name in ("cores", "vc_classes", "rogue_cores", "victim_cores"):
-            if name in body and body[name] is not None:
-                body[name] = list(body[name])
-    return {"kind": kind, **body}
-
-
-def _decode_traffic(data: dict) -> TrafficSpec:
-    data = dict(data)
-    kind = _require(data, "kind", "traffic spec")
-    data.pop("kind")
-    cls = _TRAFFIC_KINDS.get(kind)
-    if cls is None:
-        known = ", ".join(sorted(_TRAFFIC_KINDS))
-        raise ScenarioDecodeError(
-            f"traffic spec: unknown kind {kind!r} (known kinds: {known})"
-        )
-    where = f"traffic spec kind={kind!r}"
-    if cls is ExplicitTraffic:
-        packets = []
-        for p in _require(data, "packets", where):
-            payload = tuple(_require(p, "payload", f"{where} packet"))
-            packets.append(
-                _build_spec(
-                    PacketSpec,
-                    {**p, "payload": payload},
-                    f"{where} packet",
-                )
-            )
-        data.pop("packets")
-        if data:
-            raise ScenarioDecodeError(
-                f"{where}: unexpected key(s) "
-                f"{', '.join(map(repr, sorted(data)))}"
-            )
-        return ExplicitTraffic(packets=tuple(packets))
-    for name in ("cores", "vc_classes", "rogue_cores", "victim_cores"):
-        if name in data and data[name] is not None:
-            data[name] = tuple(data[name])
-    return _build_spec(cls, data, where)
-
-
-def _encode_trojan(spec: TrojanSpec) -> dict:
-    config = _plain_fields(spec.config)
-    if config["wires"] is not None:
-        config["wires"] = list(config["wires"])
-    out = {
-        "link": _encode_link(spec.link),
-        "target": _plain_fields(spec.target),
-        "config": config,
-        "enabled": spec.enabled,
-        "enable_at": spec.enable_at,
-    }
-    # key emitted only when set so pre-deactivation hashes are preserved
-    if spec.disable_at is not None:
-        out["disable_at"] = spec.disable_at
-    return out
-
-
-def _decode_trojan(data: dict) -> TrojanSpec:
-    config = dict(data["config"])
-    if config["wires"] is not None:
-        config["wires"] = tuple(config["wires"])
-    return TrojanSpec(
-        link=_decode_link(data["link"]),
-        target=TargetSpec(**data["target"]),
-        config=TaspConfig(**config),
-        enabled=data["enabled"],
-        enable_at=data["enable_at"],
-        # tolerant .get: pre-deactivation scenario files stay decodable
-        disable_at=data.get("disable_at"),
-    )
-
-
-def _encode_fault(spec: TransientFaultSpec) -> dict:
-    return {
-        "link": _encode_link(spec.link),
-        "rate": spec.rate,
-        "double_fraction": spec.double_fraction,
-        "seed": spec.seed,
-        "labels": list(spec.labels),
-    }
-
-
-def _decode_fault(data: dict) -> TransientFaultSpec:
-    return TransientFaultSpec(
-        link=_decode_link(data["link"]),
-        rate=data["rate"],
-        double_fraction=data["double_fraction"],
-        seed=data["seed"],
-        labels=tuple(data["labels"]),
-    )
-
-
-def _encode_attack(spec: DropAttackSpec) -> dict:
-    return {
-        "link": _encode_link(spec.link),
-        "drop_probability": spec.drop_probability,
-        "enable_at": spec.enable_at,
-        "disable_at": spec.disable_at,
-        "seed": spec.seed,
-    }
-
-
-def _decode_attack(data: dict) -> DropAttackSpec:
-    data = dict(data)
-    link = _decode_link(_require(data, "link", "attack spec"))
-    return _build_spec(
-        DropAttackSpec, {**data, "link": link}, "attack spec"
-    )
-
-
-def _encode_sentinel(spec: Optional[SentinelSpec]) -> Optional[dict]:
-    if spec is None:
-        return None
-    body = _plain_fields(spec)
-    body["families"] = list(body["families"])
-    return body
-
-
-def _decode_sentinel(data: Optional[dict]) -> Optional[SentinelSpec]:
-    if data is None:
-        return None
-    data = dict(data)
-    if "families" in data:
-        data["families"] = tuple(data["families"])
-    return _build_spec(SentinelSpec, data, "sentinel spec")
-
-
-def _decode_engine(value) -> str:
-    if value not in ("sweep", "event"):
-        raise ScenarioDecodeError(
-            f"scenario: unknown engine {value!r} "
-            "(expected 'sweep' or 'event')"
-        )
+def _encode(value):
+    """JSON-native form: dataclasses become objects of their fields
+    (traffic specs tagged with their ``kind``), enums their names,
+    tuples lists."""
+    if type(value) in _SCALARS:  # an exact match: Direction is an IntEnum
+        return value
+    if dataclasses.is_dataclass(value):
+        cls = type(value)
+        out = {}
+        if cls in _KIND_OF_TRAFFIC:
+            out["kind"] = _KIND_OF_TRAFFIC[cls]
+        for f in dataclasses.fields(cls):
+            item = _encode(getattr(value, f.name))
+            if _LATE_FIELDS.get((cls, f.name)) and item == _encode(f.default):
+                continue
+            out[f.name] = item
+        return out
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
     return value
 
 
-def _encode_defense(spec: DefenseSpec) -> dict:
-    mitigation = None
-    if spec.mitigation is not None:
-        mitigation = {
-            **_plain_fields(spec.mitigation),
-            "detector": _plain_fields(spec.mitigation.detector),
-            "method_sequence": [
-                [method.name, granularity.name]
-                for method, granularity in spec.mitigation.method_sequence
-            ],
-        }
-    watchdog = (
-        _plain_fields(spec.watchdog) if spec.watchdog is not None else None
-    )
-    out = {
-        "mitigated": spec.mitigated,
-        "mitigation": mitigation,
-        "e2e": spec.e2e,
-        "watchdog": watchdog,
-        "tdm_domains": spec.tdm_domains,
-        "rerouted_links": [_encode_link(k) for k in spec.rerouted_links],
-    }
-    # keys emitted only when set so pre-containment / pre-probation
-    # hashes are preserved
-    if spec.containment is not None:
-        out["containment"] = _plain_fields(spec.containment)
-    if spec.probation is not None:
-        out["probation"] = _plain_fields(spec.probation)
-    if spec.detector is not None:
-        out["detector"] = _plain_fields(spec.detector)
-    if spec.localizer is not None:
-        out["localizer"] = _plain_fields(spec.localizer)
-    return out
-
-
-def _decode_defense(data: dict) -> DefenseSpec:
-    mitigation = None
-    if data["mitigation"] is not None:
-        raw = dict(data["mitigation"])
-        raw["detector"] = DetectorConfig(**raw["detector"])
-        raw["method_sequence"] = tuple(
-            (ObMethod[method], Granularity[granularity])
-            for method, granularity in raw["method_sequence"]
+def _decode(tp, data, where: str):
+    """Rebuild a value of annotated type ``tp`` from its JSON form,
+    naming the path of whatever is damaged."""
+    if tp in _SCALARS:
+        return data
+    origin = typing.get_origin(tp)
+    if origin is Union:
+        options = typing.get_args(tp)
+        if type(None) in options:  # Optional[X]
+            return None if data is None else _decode(options[0], data, where)
+        kind = _field(data, "kind", where)
+        tp = _TRAFFIC_KINDS.get(kind)
+        if tp not in options:
+            known = ", ".join(sorted(_TRAFFIC_KINDS))
+            raise ScenarioDecodeError(
+                f"{where}: unknown kind {kind!r} (known kinds: {known})"
+            )
+        data = {key: value for key, value in data.items() if key != "kind"}
+    if dataclasses.is_dataclass(tp):
+        return _decode_fields(tp, data, where)
+    if tp is tuple or origin is tuple:
+        if not isinstance(data, list):
+            raise ScenarioDecodeError(f"{where}: expected a list")
+        items = typing.get_args(tp)
+        if not items:
+            return tuple(data)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(data)
+        elif len(items) != len(data):
+            raise ScenarioDecodeError(
+                f"{where}: expected {len(items)} items, got {len(data)}"
+            )
+        return tuple(
+            _decode(item, value, f"{where}[{i}]")
+            for i, (item, value) in enumerate(zip(items, data))
         )
-        mitigation = MitigationConfig(**raw)
-    watchdog = (
-        WatchdogConfig(**data["watchdog"])
-        if data["watchdog"] is not None
-        else None
-    )
-    raw_containment = data.get("containment")
-    containment = (
-        _build_spec(ContainmentConfig, dict(raw_containment),
-                    "containment spec")
-        if raw_containment is not None
-        else None
-    )
-    # tolerant .get: pre-probation scenario files stay decodable
-    raw_probation = data.get("probation")
-    probation = (
-        _build_spec(ProbationConfig, dict(raw_probation), "probation spec")
-        if raw_probation is not None
-        else None
-    )
-    raw_detector = data.get("detector")
-    detector = (
-        _build_spec(DetectConfig, dict(raw_detector), "detector spec")
-        if raw_detector is not None
-        else None
-    )
-    # tolerant .get: pre-localization scenario files stay decodable
-    raw_localizer = data.get("localizer")
-    localizer = (
-        _build_spec(LocalizeConfig, dict(raw_localizer), "localizer spec")
-        if raw_localizer is not None
-        else None
-    )
-    return DefenseSpec(
-        mitigated=data["mitigated"],
-        mitigation=mitigation,
-        e2e=data["e2e"],
-        watchdog=watchdog,
-        tdm_domains=data["tdm_domains"],
-        rerouted_links=tuple(
-            _decode_link(k) for k in data["rerouted_links"]
-        ),
-        containment=containment,
-        probation=probation,
-        detector=detector,
-        localizer=localizer,
-    )
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp[data]
+        except (KeyError, TypeError):
+            raise ScenarioDecodeError(
+                f"{where}: unknown {tp.__name__} {data!r}"
+            ) from None
+    return data
+
+
+def _decode_fields(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ScenarioDecodeError(f"{where}: expected an object")
+    fields = dataclasses.fields(cls)
+    extra = sorted(set(data) - {f.name for f in fields})
+    if extra:
+        raise ScenarioDecodeError(
+            f"{where}: unexpected key(s) {', '.join(map(repr, extra))}"
+        )
+    hints = _hints(cls)
+    kwargs = {
+        f.name: _decode(
+            hints[f.name], _field(data, f.name, where), f"{where}.{f.name}"
+        )
+        for f in fields
+        if f.name in data or (cls, f.name) not in _LATE_FIELDS
+    }
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        # the spec's own validation, e.g. a disable_at before enable_at
+        raise ScenarioDecodeError(f"{where}: {exc}") from None
+
+
+def _field(data, key: str, where: str):
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise ScenarioDecodeError(
+            f"{where}: missing required key {key!r}"
+        ) from None

@@ -56,7 +56,7 @@ class SentinelSpec:
     #: audit cadence in cycles (<= 0 disables)
     every: int = 64
     #: invariant families to run (see repro.noc.invariants.FAMILIES)
-    families: tuple = FAMILIES
+    families: tuple[str, ...] = FAMILIES
     #: "active" (sampled to the active set) or "full" (exhaustive)
     flit_scope: str = "active"
     #: no movement for this many cycles with occupancy > 0 => deadlock

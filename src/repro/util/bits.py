@@ -74,6 +74,24 @@ def rotr(value: int, amount: int, width: int) -> int:
     return rotl(value, width - (amount % width), width)
 
 
+def byte_tables(bit_entries: list[int], width: int) -> list[list[int]]:
+    """Per-byte lookup tables for a map that is linear over XOR on a
+    ``width``-bit input: entry ``v`` of byte ``i`` is the XOR of the
+    entries of ``v``'s set bits, ``bit_entries[8 * i + b]`` for bit
+    ``b``.  Each entry is built from the entry of ``v`` without its
+    lowest set bit."""
+    tables = []
+    for base in range(0, width, 8):
+        singles = bit_entries[base:base + 8]
+        singles += [0] * (8 - len(singles))
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            table[value] = table[value ^ low] ^ singles[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 class BitPermutation:
     """A fixed permutation of the bits of a ``width``-bit word.
 
@@ -106,17 +124,8 @@ class BitPermutation:
 
     @staticmethod
     def _build_tables(perm: Sequence[int]) -> list[list[int]]:
-        # entry v = entry (v without its lowest set bit) | that bit's image
-        tables: list[list[int]] = []
-        for base in range(0, len(perm), 8):
-            bits = [1 << dst for dst in perm[base:base + 8]]
-            bits += [0] * (8 - len(bits))
-            table = [0] * 256
-            for value in range(1, 256):
-                low = value & -value
-                table[value] = table[value ^ low] | bits[low.bit_length() - 1]
-            tables.append(table)
-        return tables
+        # single-bit images never overlap, so their XOR is their OR
+        return byte_tables([1 << dst for dst in perm], len(perm))
 
     @staticmethod
     def _apply_tables(tables: list[list[int]], value: int) -> int:

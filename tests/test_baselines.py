@@ -15,6 +15,7 @@ from repro.baselines import (
     apply_rerouting,
     updown_table,
 )
+from repro.baselines.reroute import disable_both_ways
 from repro.core import TargetSpec, TaspTrojan
 from repro.noc import Network, NoCConfig, Packet, PAPER_CONFIG
 from repro.noc.topology import (
@@ -277,6 +278,31 @@ class TestUpDownRouting:
         rerouted.add_packet(Packet(pkt_id=1, src_core=0, dst_core=15))
         rerouted.run_until_drained(500)
         assert rerouted.stats.packets[1].hops >= base_hops
+
+    def test_built_with_the_table_matches_apply_rerouting(self):
+        # a network built with the avoiding table needs only its links
+        # disabled to equal a placeholder-table network reprogrammed by
+        # apply_rerouting: same routes, same dead links
+        infected = [(0, Direction.EAST), (6, Direction.NORTH)]
+        built = Network(NoCConfig(routing="table"),
+                        routing_table=updown_table(CFG, infected))
+        disable_both_ways(built, infected)
+        reprogrammed = Network(NoCConfig(routing="table"),
+                               routing_table=updown_table(CFG, []))
+        apply_rerouting(reprogrammed, infected)
+        pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
+        for net in (built, reprogrammed):
+            assert net.route_fn == net.routing_table.route
+        assert [built.route_fn(*p) for p in pairs] == \
+            [reprogrammed.route_fn(*p) for p in pairs]
+
+        def dead(net):
+            return {key for key, link in net.links.items() if link.disabled}
+
+        assert dead(built) == dead(reprogrammed) == {
+            (0, Direction.EAST), (1, Direction.WEST),
+            (6, Direction.NORTH), (10, Direction.SOUTH),
+        }
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
