@@ -36,15 +36,24 @@ codeword byte's data bits, syndrome contribution and overall parity
 side by side.  Every part is linear over XOR, so XOR-ing one entry per
 byte encodes a word, or yields its data, syndrome and parity at once.
 The tables are built by XOR-composing single-bit entries, 256 cheap
-steps per byte.
+steps per byte.  The fold is written out for nine bytes at a time (a
+whole 72-bit codeword), so a 64-bit flit costs one unrolled expression
+rather than a Python loop step per byte.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.util.bits import byte_tables, mask, parity
+
+#: bytes folded by one unrolled step of :meth:`Secded.encode` / ``decode``
+_BLOCK = 9
+#: table padding the last block: a padding byte is 0, and entry 0 of a
+#: linear map's table is 0
+_ZERO_TABLE = (0,) * 256
+_new_tuple = tuple.__new__
 
 
 class DecodeStatus(enum.Enum):
@@ -55,9 +64,8 @@ class DecodeStatus(enum.Enum):
     DETECTED = "detected_uncorrectable"
 
 
-@dataclass(frozen=True, slots=True)
-class DecodeResult:
-    """Decoder verdict for one codeword.
+class DecodeResult(NamedTuple):
+    """Decoder verdict for one codeword (read-only).
 
     Attributes
     ----------
@@ -112,6 +120,10 @@ class Secded:
         self._bit_folds = self._decode_bit_entries()
         self._enc_tables = byte_tables(self._encode_bit_entries(), data_bits)
         self._dec_tables = byte_tables(self._bit_folds, self.codeword_bits)
+        self._enc_blocks = _blocks(self._enc_tables)
+        self._dec_blocks = _blocks(self._dec_tables)
+        self._enc_bytes = _BLOCK * len(self._enc_blocks)
+        self._dec_bytes = _BLOCK * len(self._dec_blocks)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -184,19 +196,15 @@ class Secded:
             raise ValueError(
                 f"data {data:#x} does not fit in {self.data_bits} bits"
             )
-        cw = 0
-        for table in self._enc_tables:
-            cw ^= table[data & 0xFF]
-            data >>= 8
-        return cw
+        return _xor_fold(
+            self._enc_blocks, data.to_bytes(self._enc_bytes, "little")
+        )
 
     def _fold(self, codeword: int) -> int:
         """XOR of the decode entries of ``codeword``'s bytes."""
-        fold = 0
-        for table in self._dec_tables:
-            fold ^= table[codeword & 0xFF]
-            codeword >>= 8
-        return fold
+        return _xor_fold(
+            self._dec_blocks, codeword.to_bytes(self._dec_bytes, "little")
+        )
 
     def extract(self, codeword: int) -> int:
         """Gather the data bits out of ``codeword`` (no checking)."""
@@ -210,26 +218,25 @@ class Secded:
         """Classify and (when possible) correct ``codeword``."""
         if codeword < 0 or codeword > self._codeword_mask:
             raise ValueError("codeword out of range")
-        # _fold inlined: decode runs once per flit-hop
-        fold = 0
-        word = codeword
-        for table in self._dec_tables:
-            fold ^= table[word & 0xFF]
-            word >>= 8
+        fold = _xor_fold(
+            self._dec_blocks, codeword.to_bytes(self._dec_bytes, "little")
+        )
         data = fold & self._data_mask
         s = fold >> self.data_bits & self._syndrome_mask
         overall = fold >> self._parity_shift
 
+        # results are built with tuple.__new__, skipping the Python
+        # __new__ a NamedTuple call goes through
         if s == 0 and overall == 0:
-            return DecodeResult(DecodeStatus.CLEAN, data, 0)
+            return _new_tuple(
+                DecodeResult, (DecodeStatus.CLEAN, data, 0, None)
+            )
 
         if s == 0 and overall == 1:
             # The extended parity bit itself flipped; data is intact.
-            return DecodeResult(
-                DecodeStatus.CORRECTED,
-                data,
-                0,
-                corrected_bit=self._extended_index,
+            return _new_tuple(
+                DecodeResult,
+                (DecodeStatus.CORRECTED, data, 0, self._extended_index),
             )
 
         if overall == 1:
@@ -238,18 +245,17 @@ class Secded:
             if 1 <= s <= self._hamming_len:
                 # flipping bit s-1 back flips its data bit, if it has one
                 fixed = data ^ (self._bit_folds[s - 1] & self._data_mask)
-                return DecodeResult(
-                    DecodeStatus.CORRECTED,
-                    fixed,
-                    s,
-                    corrected_bit=s - 1,
+                return _new_tuple(
+                    DecodeResult, (DecodeStatus.CORRECTED, fixed, s, s - 1)
                 )
             # Syndrome points outside the codeword: treat as detected.
-            return DecodeResult(DecodeStatus.DETECTED, data, s)
+            return _new_tuple(
+                DecodeResult, (DecodeStatus.DETECTED, data, s, None)
+            )
 
         # Non-zero syndrome with even overall parity: an even number of
         # errors (>= 2).  Detected, uncorrectable.
-        return DecodeResult(DecodeStatus.DETECTED, data, s)
+        return _new_tuple(DecodeResult, (DecodeStatus.DETECTED, data, s, None))
 
     # ------------------------------------------------------------------
     def data_index_to_codeword_index(self, data_idx: int) -> int:
@@ -261,6 +267,30 @@ class Secded:
             f"Secded(data_bits={self.data_bits}, "
             f"codeword_bits={self.codeword_bits})"
         )
+
+
+def _xor_fold(blocks: tuple[tuple, ...], raw: bytes) -> int:
+    """XOR of one table entry per byte of ``raw``: byte ``i`` indexes
+    table ``i``, nine bytes per unrolled step."""
+    fold = 0
+    at = 0
+    for t0, t1, t2, t3, t4, t5, t6, t7, t8 in blocks:
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = raw[at:at + _BLOCK]
+        fold ^= (
+            t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
+            ^ t5[b5] ^ t6[b6] ^ t7[b7] ^ t8[b8]
+        )
+        at += _BLOCK
+    return fold
+
+
+def _blocks(tables: list[list[int]]) -> tuple[tuple, ...]:
+    """``tables`` in groups of :data:`_BLOCK`, the last one padded with
+    :data:`_ZERO_TABLE`."""
+    padded = list(tables) + [_ZERO_TABLE] * (-len(tables) % _BLOCK)
+    return tuple(
+        tuple(padded[at:at + _BLOCK]) for at in range(0, len(padded), _BLOCK)
+    )
 
 
 #: Shared codec instance for the paper's 64-bit flits.

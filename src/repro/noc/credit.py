@@ -32,7 +32,9 @@ class CreditTracker:
         self.depth = depth
         self.latency = latency
         self._credits = [depth] * num_vcs
-        #: (visible_cycle, vc) credit returns still in flight
+        #: (visible_cycle, vc) credit returns still in flight, oldest
+        #: first: returns are released at the current cycle and become
+        #: visible a fixed latency later, so they fall due in order
         self._pending: list[tuple[int, int]] = []
         self.consumed_total = 0
         self.released_total = 0
@@ -44,17 +46,18 @@ class CreditTracker:
         """Apply credit returns that have become visible by ``cycle``."""
         if self.frozen or not self._pending:
             return
-        still = []
+        credits = self._credits
+        due = 0
         for visible, vc in self._pending:
-            if visible <= cycle:
-                self._credits[vc] += 1
-                if self._credits[vc] > self.depth:
-                    raise RuntimeError(
-                        f"credit overflow on vc {vc}: flow control broken"
-                    )
-            else:
-                still.append((visible, vc))
-        self._pending = still
+            if visible > cycle:
+                break
+            credits[vc] += 1
+            due += 1
+            if credits[vc] > self.depth:
+                raise RuntimeError(
+                    f"credit overflow on vc {vc}: flow control broken"
+                )
+        del self._pending[:due]
 
     def available(self, vc: int) -> int:
         return self._credits[vc]
@@ -86,7 +89,7 @@ class CreditTracker:
         driven by a monitor, which separately pins the clock)."""
         if not self._pending:
             return None
-        return min(visible for visible, _vc in self._pending)
+        return self._pending[0][0]
 
     def outstanding(self, vc: int) -> int:
         """Slots of ``vc`` currently claimed by this upstream port."""

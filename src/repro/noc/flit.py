@@ -197,6 +197,8 @@ class Flit:
         "retransmissions",
         "last_move_cycle",
         "domain",
+        "is_head",
+        "is_tail",
     )
 
     def __init__(
@@ -231,14 +233,10 @@ class Flit:
         self.hops = 0
         self.retransmissions = 0
         self.last_move_cycle = -1
-
-    @property
-    def is_head(self) -> bool:
-        return self.ftype in (FlitType.HEAD, FlitType.SINGLE)
-
-    @property
-    def is_tail(self) -> bool:
-        return self.ftype in (FlitType.TAIL, FlitType.SINGLE)
+        #: fixed by ``ftype``, which nothing reassigns; plain slots
+        #: because the router tests them on every flit it moves
+        self.is_head = ftype in (FlitType.HEAD, FlitType.SINGLE)
+        self.is_tail = ftype in (FlitType.TAIL, FlitType.SINGLE)
 
     @property
     def flow_signature(self) -> tuple[int, int, int]:

@@ -167,8 +167,7 @@ class NetworkValidator:
             if self.flit_scope == "active"
             else (None, None)
         )
-        for key, (link, receiver, in_port) in net._wiring.items():
-            out = net.routers[key[0]].outputs[key[1]]
+        for key, (link, receiver, in_port, out) in net._wiring.items():
             visible = out.credits._credits
             if (
                 active_r is not None
@@ -187,8 +186,7 @@ class NetworkValidator:
             # an entry's reserved slot becomes *occupancy* once the
             # downstream receiver accepts it (staged or delivered)
             unaccepted = [0] * num_vcs
-            for tag in out.retrans._order:
-                entry = out.retrans._entries[tag]
+            for entry in out.retrans._entries.values():
                 vc = entry.out_vc
                 if (
                     entry.vc_seq >= receiver._expected_seq[vc]
@@ -361,6 +359,13 @@ class NetworkValidator:
                     f"router {router.id}: flit tally {work.flits} != "
                     f"{total} buffered",
                 )
+            queued = sum(len(eject.queue) for eject in router.ejects.values())
+            if work.ejects != queued:
+                self._fail(
+                    "counters",
+                    f"router {router.id}: eject tally {work.ejects} != "
+                    f"{queued} queued",
+                )
             for stage, expected in lists.items():
                 if getattr(work, stage) != expected:
                     self._fail(
@@ -377,6 +382,15 @@ class NetworkValidator:
                     f"link {key}: staged count {receiver.staged_count} "
                     f"!= {staged} staged",
                 )
+            for vc, store in receiver._staging.items():
+                if (store or receiver._skipped[vc]) and not (
+                    receiver._live >> vc & 1
+                ):
+                    self._fail(
+                        "counters",
+                        f"link {key} vc {vc}: staged or skipped sequence "
+                        f"numbers on a VC the resequencer does not visit",
+                    )
 
 
 def _worklist_of(vc) -> "str | None":

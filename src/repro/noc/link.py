@@ -46,8 +46,31 @@ class AckMessage:
     flow_signature: Optional[tuple] = None
 
 
+def pop_due(wire: list, cycle: int) -> list:
+    """Pop the ``(cycle, item)`` pairs of ``wire`` due by ``cycle``.
+
+    Each wire is a FIFO: an item is queued at the current cycle plus a
+    latency that never changes, and the clock only moves forward, so
+    items fall due in the order they were queued and the due ones are
+    a prefix.
+    """
+    due = 0
+    for when, _item in wire:
+        if when > cycle:
+            break
+        due += 1
+    items = wire[:due]
+    del wire[:due]
+    return items
+
+
 class Link:
-    """One unidirectional link between adjacent routers."""
+    """One unidirectional link between adjacent routers.
+
+    ``_in_flight`` and ``_acks`` hold ``(arrival cycle, item)`` pairs
+    oldest first; they stay plain lists (a deque per wire costs memory
+    on every link of a large mesh) and are popped from the head.
+    """
 
     __slots__ = (
         "src_router",
@@ -109,10 +132,13 @@ class Link:
 
     def launch(self, tx: Transmission, cycle: int) -> None:
         """Put a transmission on the wire; tampering happens here."""
-        original = tx.codeword
-        tx.codeword = self.apply_tamper(tx.codeword, cycle)
+        codeword = original = tx.codeword
+        # apply_tamper inlined: one launch per flit-hop
+        for tamperer in self.tamperers:
+            codeword = tamperer.tamper(codeword, cycle)
+        tx.codeword = codeword
         self.traversals += 1
-        if tx.codeword != original:
+        if codeword != original:
             self.corrupted_traversals += 1
         self._in_flight.append((cycle + self.latency, tx))
         for hook in self.launch_hooks:
@@ -120,26 +146,14 @@ class Link:
 
     def pop_arrivals(self, cycle: int) -> list[Transmission]:
         """Transmissions reaching the downstream router at ``cycle``."""
-        if not self._in_flight:
-            return []
-        arrived = [tx for when, tx in self._in_flight if when <= cycle]
-        if arrived:
-            self._in_flight = [
-                (when, tx) for when, tx in self._in_flight if when > cycle
-            ]
-        return arrived
+        return [tx for _when, tx in pop_due(self._in_flight, cycle)]
 
     # -- reverse ACK wires ------------------------------------------------
     def send_ack(self, ack: AckMessage, cycle: int) -> None:
         self._acks.append((cycle + self.ack_latency, ack))
 
     def pop_acks(self, cycle: int) -> list[AckMessage]:
-        if not self._acks:
-            return []
-        ready = [ack for when, ack in self._acks if when <= cycle]
-        if ready:
-            self._acks = [(when, ack) for when, ack in self._acks if when > cycle]
-        return ready
+        return [ack for _when, ack in pop_due(self._acks, cycle)]
 
     # ---------------------------------------------------------------------
     @property
@@ -150,14 +164,14 @@ class Link:
         """Earliest arrival cycle of anything on the wire (forward
         codewords or reverse ACKs), or ``None`` when the link is idle.
         Consulted by the event engine before skipping the clock."""
-        best: Optional[int] = None
-        for when, _tx in self._in_flight:
-            if best is None or when < best:
-                best = when
-        for when, _ack in self._acks:
-            if best is None or when < best:
-                best = when
-        return best
+        # both wires are FIFO, so their heads are their earliest items
+        if self._in_flight:
+            if self._acks:
+                return min(self._in_flight[0][0], self._acks[0][0])
+            return self._in_flight[0][0]
+        if self._acks:
+            return self._acks[0][0]
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.ecc import SECDED_72_64, Secded
 from repro.noc.config import NoCConfig
 from repro.noc.flit import Flit, Packet
-from repro.noc.link import Link
+from repro.noc.link import Link, pop_due
 from repro.noc.receiver import EccReceiver
-from repro.noc.router import InputPort, Router, SchedulingPolicy
+from repro.noc.router import InputPort, OutputPort, Router, SchedulingPolicy
 from repro.noc.routing import TableRouting, make_route_fn
 from repro.noc.stats import NetworkStats, PacketRecord, Sample
 from repro.noc.topology import (
@@ -87,9 +87,12 @@ class Network:
             for rid in range(cfg.num_routers)
         ]
         self.links: dict[LinkKey, Link] = {}
-        #: each link with the receiver and input port at its far end,
-        #: resolved once so the cycle loop does no lookups
-        self._wiring: dict[LinkKey, tuple[Link, EccReceiver, InputPort]] = {}
+        #: each link with the receiver and input port at its far end and
+        #: the output port feeding it, resolved once so the cycle loop
+        #: does no lookups
+        self._wiring: dict[
+            LinkKey, tuple[Link, EccReceiver, InputPort, OutputPort]
+        ] = {}
         for key in all_links(cfg):
             src, dst = link_endpoints(cfg, key)
             link = Link(
@@ -102,9 +105,10 @@ class Network:
             in_port.receiver.upstream_credits = out_port.credits
             in_port.receiver.stats_sink = self.stats
             in_port.upstream_credits = out_port.credits
+            in_port.upstream_router = src
             if lob_factory is not None:
                 out_port.lob = lob_factory(cfg, link)
-            self._wiring[key] = (link, in_port.receiver, in_port)
+            self._wiring[key] = (link, in_port.receiver, in_port, out_port)
         for router in self.routers:
             router.finish_wiring()
 
@@ -197,7 +201,7 @@ class Network:
         for out in router.out_ports:
             link = out.link
             if (
-                out.retrans._order
+                out.retrans._entries
                 or link._in_flight
                 or link._acks
                 or out.credits._pending
@@ -384,6 +388,12 @@ class Network:
     def output_port_of(self, key: LinkKey):
         return self.routers[key[0]].outputs[key[1]]
 
+    def link_outputs(self) -> Iterator[tuple[LinkKey, OutputPort]]:
+        """Every link key with the output port feeding it, in canonical
+        link order, for monitors that scan every output each cycle."""
+        for key, wires in self._wiring.items():
+            yield key, wires[3]
+
     # -- traffic --------------------------------------------------------------
     def set_traffic(self, source: TrafficSource) -> None:
         self.traffic = source
@@ -440,37 +450,43 @@ class Network:
                 self._active_links, key=self._link_order.__getitem__
             )
 
-        # Credit returns become visible.
+        # Credit returns become visible.  Returns queue at the current
+        # cycle plus a fixed latency, so a tracker's oldest return is
+        # its first due.
         for router in routers:
             for out in router.out_ports:
-                if out.credits._pending:
+                pending = out.credits._pending
+                if pending and pending[0][0] <= cycle:
                     out.credits.tick(cycle)
         if prof is not None:
             _t = prof.lap("credit", _t)
 
-        # ACK/NACK processing (reverse wires).
-        for router in routers:
-            router.process_acks(cycle)
+        # ACK/NACK processing (reverse wires), link-major: the snapshot
+        # is in canonical link order, which is router order and then
+        # output order, and every link with an ACK on its wire is in it
+        # (with its source router, whose entry awaits the ACK).
+        wiring = self._wiring
+        for key in link_keys:
+            acks = wiring[key][0]._acks
+            if acks and acks[0][0] <= cycle:
+                wiring[key][3].process_acks(cycle)
         if prof is not None:
             _t = prof.lap("ack", _t)
 
         # Link arrivals -> receive pipeline (ECC + detection).
-        wiring = self._wiring
         active_routers = self._active_routers
         for key in link_keys:
-            link, receiver, _port = wiring[key]
-            if not link._in_flight:
+            link, receiver, _port, _out = wiring[key]
+            in_flight = link._in_flight
+            if not in_flight or in_flight[0][0] > cycle:
                 continue
-            arrivals = link.pop_arrivals(cycle)
-            if not arrivals:
-                continue
-            for tx in arrivals:
+            for _when, tx in pop_due(in_flight, cycle):
                 receiver.process(tx, cycle)
             active_routers.add(link.dst_router)
 
         # Staged flits drop into their VC buffers.
         for key in link_keys:
-            link, receiver, in_port = wiring[key]
+            link, receiver, in_port, _out = wiring[key]
             if not receiver.staged_count:
                 continue
             discarded_before = receiver.flits_discarded
@@ -487,6 +503,8 @@ class Network:
 
         # Ejection: cores consume.
         for router in routers:
+            if not router.work.ejects:
+                continue
             for flit in router.drain_ejects(cycle):
                 core = router.ejects[
                     flit.dst_core % self.cfg.concentration
@@ -510,10 +528,7 @@ class Network:
         for router in routers:
             if router.work.sa:
                 router.switch_traverse(cycle)
-                for direction in router.credit_release_dirs:
-                    active_routers.add(
-                        router.inputs[direction].receiver.link.src_router
-                    )
+                active_routers.update(router.credit_woken)
         if prof is not None:
             _t = prof.lap("traverse", _t)
         for router in routers:
@@ -581,12 +596,14 @@ class Network:
         if not self._backlogged:
             return
         cfg = self.cfg
+        policy = self.policy
+        gated = "may_inject" in policy.gated
         # sorted() both fixes the visitation order (ascending core, the
         # full-scan order) and snapshots the set before mutation
         for core in sorted(self._backlogged):
             backlog = self._backlogs[core]
             flit = backlog[0]
-            if not self.policy.may_inject(flit, cycle):
+            if gated and not policy.may_inject(flit, cycle):
                 continue
             router = self.routers[cfg.router_of_core(core)]
             port = router.inputs[("inj", cfg.local_index(core))]

@@ -97,6 +97,9 @@ class EccReceiver:
         self._skipped: dict[int, set[int]] = {
             vc: set() for vc in range(cfg.num_vcs)
         }
+        #: bitmask of the VCs whose staging store or skip set may hold
+        #: something, so :meth:`take_deliveries` visits only those
+        self._live = 0
         #: pkt_ids condemned by the degradation path; their remaining
         #: flits are accepted-and-discarded so the wormhole drains
         self.poisoned_packets: set[int] = set()
@@ -121,7 +124,9 @@ class EccReceiver:
     # ------------------------------------------------------------------
     def process(self, tx: Transmission, cycle: int) -> None:
         """Handle one arriving transmission."""
-        if (
+        # an in-order arrival usually finds its VC with nothing staged
+        # or skipped (its bit in ``_live`` clear) and skips both lookups
+        if self._live >> tx.vc & 1 and (
             tx.vc_seq in self._staging[tx.vc]
             or tx.vc_seq in self._skipped[tx.vc]
         ):
@@ -131,21 +136,25 @@ class EccReceiver:
             self._send_ok(tx, cycle)
             return
         result = self.codec.decode(tx.codeword)
-        if result.status is DecodeStatus.DETECTED:
+        status = result.status
+        if status is DecodeStatus.DETECTED:
             self._reject(tx, cycle, result)
         elif tx.flit.pkt_id in self.poisoned_packets:
             self._discard(tx, cycle)
         else:
-            self._accept(tx, cycle, result)
+            if status is DecodeStatus.CORRECTED:
+                self.flits_corrected += 1
+            if tx.ob is None:
+                self._deliver_plain(tx, cycle, result)
+            else:
+                self._accept_obfuscated(tx, cycle, result)
 
     # -- reject path ------------------------------------------------------
     def _reject(self, tx: Transmission, cycle: int, result: DecodeResult) -> None:
         self.faults_detected += 1
         self.nacks_sent += 1
         advice = self._advice_for(tx, cycle, result)
-        self.link.send_ack(
-            AckMessage(tag=tx.tag, ok=False, advice=advice), cycle
-        )
+        self.link.send_ack(AckMessage(tx.tag, False, advice), cycle)
 
     def _advice_for(
         self, tx: Transmission, cycle: int, result: DecodeResult
@@ -154,20 +163,36 @@ class EccReceiver:
         return None
 
     # -- accept path --------------------------------------------------------
-    def _accept(self, tx: Transmission, cycle: int, result: DecodeResult) -> None:
-        if result.status is DecodeStatus.CORRECTED:
-            self.flits_corrected += 1
-        if tx.ob is not None:
-            self._accept_obfuscated(tx, cycle, result)
-            return
-        self._deliver_plain(tx, cycle, result)
-
     def _deliver_plain(
         self, tx: Transmission, cycle: int, result: DecodeResult
     ) -> None:
-        self._finalize_flit(tx.flit, result.data)
-        self._stage(StagedFlit(tx.flit, tx.vc, tx.vc_seq, cycle))
-        self._send_ok(tx, cycle)
+        """Accept an unobfuscated flit: adopt the decoded word, stage it
+        for release this cycle and ACK it.  This is what
+        :meth:`_finalize_flit`, :meth:`_stage` and :meth:`_send_ok` do,
+        written out because it runs once per flit-hop; :meth:`process`
+        has already ruled out a staged duplicate."""
+        flit = tx.flit
+        data = flit.data = result.data
+        if flit.is_head:
+            (src, src_mask), (dst, dst_mask), (mem, mem_mask) = (
+                self._header_fields
+            )
+            flit.src_router = data >> src & src_mask
+            flit.dst_router = data >> dst & dst_mask
+            flit.mem_addr = data >> mem & mem_mask
+        vc = tx.vc
+        self._staging[vc][tx.vc_seq] = StagedFlit(flit, vc, tx.vc_seq, cycle)
+        self.staged_count += 1
+        self._live |= 1 << vc
+        self.flits_accepted += 1
+        link = self.link
+        link._acks.append((
+            cycle + link.ack_latency,
+            AckMessage(
+                tx.tag, True, None, None,
+                (flit.src_router, flit.dst_router, flit.vc_class),
+            ),
+        ))
 
     def _accept_obfuscated(
         self, tx: Transmission, cycle: int, result: DecodeResult
@@ -181,12 +206,11 @@ class EccReceiver:
 
     def _send_ok(self, tx: Transmission, cycle: int) -> None:
         self.flits_accepted += 1
+        flit = tx.flit
         self.link.send_ack(
             AckMessage(
-                tag=tx.tag,
-                ok=True,
-                ob_success=tx.ob,
-                flow_signature=tx.flit.flow_signature,
+                tx.tag, True, None, tx.ob,
+                (flit.src_router, flit.dst_router, flit.vc_class),
             ),
             cycle,
         )
@@ -217,6 +241,7 @@ class EccReceiver:
         receiver ever accepted it; the resequencer will step over it."""
         if vc_seq >= self._expected_seq[vc] and vc_seq not in self._staging[vc]:
             self._skipped[vc].add(vc_seq)
+            self._live |= 1 << vc
 
     def poison_packet(self, pkt_id: int, capacity: int = 256) -> None:
         """Condemn a packet: its future arrivals on this link are
@@ -255,6 +280,7 @@ class EccReceiver:
         self._expected_seq = [0] * self.cfg.num_vcs
         for skipped in self._skipped.values():
             skipped.clear()
+        self._live = 0
         self.poisoned_packets.clear()
         self._poison_order.clear()
 
@@ -281,20 +307,25 @@ class EccReceiver:
         if staged.vc_seq not in store:
             self.staged_count += 1
         store[staged.vc_seq] = staged
+        self._live |= 1 << staged.vc
 
     def take_deliveries(self, cycle: int) -> list[tuple[int, "Flit"]]:
         """Flits ready to be written into the input VC buffers this
         cycle, strictly in per-VC ``vc_seq`` order."""
         out: list[tuple[int, "Flit"]] = []
-        for vc, store in self._staging.items():
+        expected_seq = self._expected_seq
+        live = pending = self._live
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            vc = bit.bit_length() - 1
+            store = self._staging[vc]
             skipped = self._skipped[vc]
-            if not store and not skipped:
-                continue
             while True:
-                expected = self._expected_seq[vc]
+                expected = expected_seq[vc]
                 if expected in skipped:
                     skipped.discard(expected)
-                    self._expected_seq[vc] = expected + 1
+                    expected_seq[vc] = expected + 1
                     continue
                 if expected not in store:
                     break
@@ -303,7 +334,7 @@ class EccReceiver:
                     break
                 del store[expected]
                 self.staged_count -= 1
-                self._expected_seq[vc] = expected + 1
+                expected_seq[vc] = expected + 1
                 if staged.discard:
                     # Tombstone consumed: the buffer slot it reserved is
                     # returned upstream exactly where a real delivery
@@ -317,6 +348,9 @@ class EccReceiver:
                 staged.flit.last_move_cycle = cycle
                 staged.flit.hops += 1
                 out.append((vc, staged.flit))
+            if not store and not skipped:
+                live ^= bit
+        self._live = live
         return out
 
     @property

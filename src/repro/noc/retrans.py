@@ -54,14 +54,17 @@ class RetransEntry:
         "defer_until",
     )
 
-    def __init__(self, tag: int, flit: "Flit", out_vc: int, cycle: int):
+    def __init__(
+        self, tag: int, flit: "Flit", out_vc: int, cycle: int,
+        vc_seq: int = -1,
+    ):
         self.tag = tag
         self.flit = flit
         self.out_vc = out_vc
         #: per-(link, VC) sequence number; the downstream resequencing
         #: stage delivers flits of a VC strictly in this order, so
         #: selective repeat cannot reorder flits within a packet
-        self.vc_seq = -1
+        self.vc_seq = vc_seq
         self.state = EntryState.READY
         self.send_count = 0
         self.admitted_cycle = cycle
@@ -71,9 +74,6 @@ class RetransEntry:
         #: reorder obfuscation: do not launch before this cycle
         self.defer_until = -1
 
-    def sendable(self, cycle: int) -> bool:
-        return self.state is EntryState.READY and self.defer_until <= cycle
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"RetransEntry(tag={self.tag}, {self.state.value}, "
@@ -82,9 +82,15 @@ class RetransEntry:
 
 
 class RetransBuffer:
-    """Selective-repeat retransmission buffer for one output port."""
+    """Selective-repeat retransmission buffer for one output port.
 
-    __slots__ = ("depth", "_entries", "_order", "_next_tag",
+    ``_entries`` maps link tag to entry in admission order: tags are
+    issued in increasing order and a dict keeps insertion order, so
+    iterating it visits the oldest entry first, and retiring an entry
+    is one ``pop``.
+    """
+
+    __slots__ = ("depth", "_entries", "_next_tag",
                  "acks_received", "nacks_received", "admitted_total",
                  "dropped_total")
 
@@ -93,7 +99,6 @@ class RetransBuffer:
             raise ValueError("depth must be positive")
         self.depth = depth
         self._entries: dict[int, RetransEntry] = {}
-        self._order: list[int] = []  # admission order, oldest first
         self._next_tag = 0
         self.acks_received = 0
         self.nacks_received = 0
@@ -114,30 +119,30 @@ class RetransBuffer:
         return not self._entries
 
     def __iter__(self) -> Iterator[RetransEntry]:
-        return (self._entries[tag] for tag in self._order)
+        return iter(self._entries.values())
 
     def get(self, tag: int) -> Optional[RetransEntry]:
         return self._entries.get(tag)
 
     # ------------------------------------------------------------------
-    def admit(self, flit: "Flit", out_vc: int, cycle: int) -> Optional[int]:
+    def admit(
+        self, flit: "Flit", out_vc: int, cycle: int, vc_seq: int = -1
+    ) -> Optional[int]:
         """Accept a flit from the crossbar; returns its link tag, or
         ``None`` when the buffer is full (the output port stalls)."""
-        if self.is_full:
+        entries = self._entries
+        if len(entries) >= self.depth:
             return None
         tag = self._next_tag
-        self._next_tag += 1
-        entry = RetransEntry(tag, flit, out_vc, cycle)
-        self._entries[tag] = entry
-        self._order.append(tag)
+        self._next_tag = tag + 1
+        entries[tag] = RetransEntry(tag, flit, out_vc, cycle, vc_seq)
         self.admitted_total += 1
         return tag
 
     def pick_ready(self, cycle: int) -> Optional[RetransEntry]:
         """Oldest entry eligible for (re)launch this cycle."""
-        for tag in self._order:
-            entry = self._entries[tag]
-            if entry.sendable(cycle):
+        for entry in self._entries.values():
+            if entry.state is EntryState.READY and entry.defer_until <= cycle:
                 return entry
         return None
 
@@ -145,9 +150,9 @@ class RetransBuffer:
         """All launchable entries, oldest first (used by L-Ob to pick
         scramble partners and implement reordering)."""
         return [
-            self._entries[tag]
-            for tag in self._order
-            if self._entries[tag].sendable(cycle)
+            entry
+            for entry in self._entries.values()
+            if entry.state is EntryState.READY and entry.defer_until <= cycle
         ]
 
     def mark_launched(self, tag: int, cycle: int) -> None:
@@ -161,10 +166,8 @@ class RetransBuffer:
     def on_ack(self, tag: int) -> Optional[RetransEntry]:
         """Positive acknowledgement: retire the entry, free the slot."""
         entry = self._entries.pop(tag, None)
-        if entry is None:
-            return None
-        self._order.remove(tag)
-        self.acks_received += 1
+        if entry is not None:
+            self.acks_received += 1
         return entry
 
     def on_nack(self, tag: int, advice: Optional[NackAdvice] = None) -> None:
@@ -188,13 +191,12 @@ class RetransBuffer:
         ``IN_FLIGHT`` entry still has a transmission on the wire whose
         ACK/NACK must settle first.
         """
-        entry = self._entries.pop(tag, None)
+        entry = self._entries.get(tag)
         if entry is None:
             return None
         if entry.state is not EntryState.READY:
-            self._entries[tag] = entry
             raise RuntimeError(f"dropping in-flight tag {tag}")
-        self._order.remove(tag)
+        del self._entries[tag]
         self.dropped_total += 1
         return entry
 
@@ -210,8 +212,7 @@ class RetransBuffer:
         idle cheaply, so the engine stays conservative.
         """
         best: Optional[int] = None
-        for tag in self._order:
-            entry = self._entries[tag]
+        for entry in self._entries.values():
             if entry.state is not EntryState.READY:
                 return cycle
             when = entry.defer_until
@@ -224,6 +225,6 @@ class RetransBuffer:
     def oldest_wait(self, cycle: int) -> int:
         """Age in cycles of the oldest unretired entry (0 if empty) —
         a back-pressure signal used by deadlock monitors."""
-        if not self._order:
-            return 0
-        return cycle - self._entries[self._order[0]].admitted_cycle
+        for entry in self._entries.values():
+            return cycle - entry.admitted_cycle
+        return 0

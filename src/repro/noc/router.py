@@ -26,22 +26,50 @@ from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.config import NoCConfig
 from repro.noc.credit import CreditTracker
 from repro.noc.flit import Flit
-from repro.noc.link import Link, Transmission
+from repro.noc.link import Link, Transmission, pop_due
 from repro.noc.receiver import EccReceiver
-from repro.noc.retrans import RetransBuffer
+from repro.noc.retrans import EntryState, RetransBuffer
 from repro.noc.topology import Direction, dateline_high
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.lob import LObEncoder
     from repro.ecc import Secded
 
+_READY = EntryState.READY
+_IN_FLIGHT = EntryState.IN_FLIGHT
+
 #: Input ports: a mesh direction or ("inj", local core index).
 #: Output targets: a mesh direction or ("ej", local core index).
 PortKey = Union[Direction, tuple[str, int]]
 
 
+#: the per-flit hooks of :class:`SchedulingPolicy`
+_POLICY_HOOKS = (
+    "flit_may_use_switch",
+    "flit_may_use_link",
+    "allowed_out_vcs",
+    "may_inject",
+    "may_admit_retrans",
+)
+
+
 class SchedulingPolicy:
-    """Hook points for QoS schemes (overridden by the TDM baseline)."""
+    """Hook points for QoS schemes (overridden by the TDM baseline).
+
+    The defaults allow everything, so the router and network call a
+    hook per flit only when the policy's class overrides it; ``gated``
+    names those hooks and is derived for every subclass.
+    """
+
+    gated: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.gated = frozenset(
+            name
+            for name in _POLICY_HOOKS
+            if getattr(cls, name) is not getattr(SchedulingPolicy, name)
+        )
 
     def flit_may_use_switch(self, flit: Flit, cycle: int) -> bool:
         return True
@@ -67,7 +95,8 @@ class Worklists:
     VC worklists, which its VCs update in place.
 
     ``flits`` counts the flits buffered across the router's input VCs,
-    ``ports[p]`` those of the input port at wiring position ``p``.  The
+    ``ports[p]`` those of the input port at wiring position ``p``, and
+    ``ejects`` those waiting in the router's ejection queues.  The
     worklists are bitmasks over the router's VCs (``VCState.bit``), and
     membership is a pure function of a VC's state, re-derived by
     :meth:`VCState.requeue` whenever that state changes:
@@ -82,11 +111,12 @@ class Worklists:
     would leave every dropped network to the cyclic garbage collector.
     """
 
-    __slots__ = ("flits", "ports", "rc", "va", "sa")
+    __slots__ = ("flits", "ports", "ejects", "rc", "va", "sa")
 
     def __init__(self) -> None:
         self.flits = 0
         self.ports: list[int] = []
+        self.ejects = 0
         self.rc = self.va = self.sa = 0
 
 
@@ -183,7 +213,8 @@ class InputPort:
     """A router input: VC buffers plus (for link inputs) the receive
     pipeline and a handle on the upstream credit tracker."""
 
-    __slots__ = ("key", "vcs", "receiver", "upstream_credits")
+    __slots__ = ("key", "vcs", "receiver", "upstream_credits",
+                 "upstream_router")
 
     def __init__(self, key: PortKey, cfg: NoCConfig, position: int,
                  work: Worklists):
@@ -195,6 +226,8 @@ class InputPort:
         ]
         self.receiver: Optional[EccReceiver] = None
         self.upstream_credits: Optional[CreditTracker] = None
+        #: id of the router at the far end of the input link
+        self.upstream_router: Optional[int] = None
 
 
 class OutputPort:
@@ -233,14 +266,44 @@ class OutputPort:
         where a pinned packet per VC starves VC allocation long before
         the buffer itself fills.
         """
-        if self.retrans.is_full:
+        entries = self.retrans._entries
+        if len(entries) >= self.retrans.depth:
             return True
-        if not any(self.credits.snapshot()):
+        if not any(self.credits._credits):
             return True
-        return (
-            self.retrans.oldest_wait(cycle) > stall_window
-            and cycle - self.last_ack_cycle > stall_window
-        )
+        if cycle - self.last_ack_cycle <= stall_window:
+            return False
+        for oldest in entries.values():
+            return cycle - oldest.admitted_cycle > stall_window
+        return False
+
+    def process_acks(self, cycle: int) -> None:
+        """Retire or re-arm the retransmission entries whose ACK/NACK
+        reaches this port by ``cycle`` (the reverse wire is a FIFO)."""
+        link = self.link
+        retrans = self.retrans
+        entries = retrans._entries
+        for _when, ack in pop_due(link._acks, cycle):
+            if link.ack_hooks:
+                entry_for_hook = entries.get(ack.tag)
+                flit = entry_for_hook.flit if entry_for_hook else None
+                for hook in link.ack_hooks:
+                    hook(ack, cycle, flit)
+            if ack.ok:
+                self.last_ack_cycle = cycle
+                # RetransBuffer.on_ack, inlined
+                entry = entries.pop(ack.tag, None)
+                if entry is not None:
+                    retrans.acks_received += 1
+                    if entry.flit.is_tail:
+                        # Tail safely across: the downstream VC may now
+                        # be re-allocated to another packet.
+                        self.holders[entry.out_vc] = None
+                        self.holder_pkts[entry.out_vc] = None
+                if self.lob is not None and ack.ob_success is not None:
+                    self.lob.record_success(ack.flow_signature, ack.ob_success)
+            else:
+                retrans.on_nack(ack.tag, ack.advice)
 
 
 class EjectPort:
@@ -252,10 +315,6 @@ class EjectPort:
         self.core = core
         self.queue: deque[Flit] = deque()
         self.capacity = capacity
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.queue) >= self.capacity
 
 
 class Router:
@@ -290,19 +349,20 @@ class Router:
         self._ports: list[InputPort] = []
         self.out_ports: list[OutputPort] = []
         self._vc_of_bit: dict[int, VCState] = {}
-        self._sa_input_arb: dict[PortKey, RoundRobinArbiter] = {}
-        self._sa_output_arb: dict[PortKey, RoundRobinArbiter] = {}
+        #: switch arbiters: per input port by wiring position, and per
+        #: OutputPort or EjectPort
+        self._sa_input_arb: list[RoundRobinArbiter] = []
+        self._sa_output_arb: dict[object, RoundRobinArbiter] = {}
         self._va_arb: dict[Direction, RoundRobinArbiter] = {}
 
         # counters
         self.flits_switched = 0
         self.flits_ejected = 0
 
-        #: input directions whose upstream credit tracker was released
-        #: during the most recent :meth:`switch_traverse` call; the
-        #: network uses this to wake the upstream router under
-        #: active-set stepping.
-        self.credit_release_dirs: list[Direction] = []
+        #: upstream routers whose credit tracker got a return during the
+        #: most recent :meth:`switch_traverse` call; the network wakes
+        #: them under active-set stepping.
+        self.credit_woken: list[int] = []
         #: input-port key of the head currently in route compute (an
         #: adaptive route_fn reads it to refuse 180-degree turns)
         self.routing_input: Optional[PortKey] = None
@@ -326,13 +386,11 @@ class Router:
             vc.bit: vc for port in self._ports for vc in port.vcs
         }
         n_in = len(self._ports)
-        for key in self.inputs:
-            self._sa_input_arb[key] = RoundRobinArbiter(self.cfg.num_vcs)
-        out_keys: list[PortKey] = list(self.outputs.keys()) + [
-            ("ej", local) for local in self.ejects
+        self._sa_input_arb = [
+            RoundRobinArbiter(self.cfg.num_vcs) for _ in self._ports
         ]
-        for key in out_keys:
-            self._sa_output_arb[key] = RoundRobinArbiter(n_in)
+        for port in [*self.outputs.values(), *self.ejects.values()]:
+            self._sa_output_arb[port] = RoundRobinArbiter(n_in)
         for direction in self.outputs:
             self._va_arb[direction] = RoundRobinArbiter(
                 n_in * self.cfg.num_vcs
@@ -386,19 +444,24 @@ class Router:
         num_vcs = self.cfg.num_vcs
         torus = self.cfg.topology == "torus"
         dateline_half = num_vcs // 2
+        policy = self.policy
+        gated = "allowed_out_vcs" in policy.gated
         for out, requesters in buckets.items():
             holders = out.holders
-            free_set = {v for v in range(num_vcs) if holders[v] is None}
-            if not free_set:
+            free = [v for v in range(num_vcs) if holders[v] is None]
+            if not free:
                 continue
             allowed_by_flat: dict[int, tuple[VCState, list[int]]] = {}
             for vc in requesters:
                 head = vc.buffer[0]
-                allowed = [
-                    v
-                    for v in self.policy.allowed_out_vcs(head, num_vcs)
-                    if v in free_set
-                ]
+                if gated:
+                    allowed = [
+                        v
+                        for v in policy.allowed_out_vcs(head, num_vcs)
+                        if v in free
+                    ]
+                else:
+                    allowed = free
                 if torus:
                     # dateline VC discipline: low half before the ring's
                     # wrap edge, high half at/after it — the restriction
@@ -435,9 +498,11 @@ class Router:
 
         Returns the number of flits switched.
         """
-        self.credit_release_dirs.clear()
+        self.credit_woken.clear()
         pending = self.work.sa
         policy = self.policy
+        switch_gate = "flit_may_use_switch" in policy.gated
+        admit_gate = "may_admit_retrans" in policy.gated
         # Input-side arbitration: each input port nominates one of its
         # movable VCs.
         movable: dict[int, list[int]] = {}
@@ -448,16 +513,19 @@ class Router:
             head = vc.buffer[0]
             if head.last_move_cycle >= cycle or vc.rc_cycle >= cycle:
                 continue
-            if not policy.flit_may_use_switch(head, cycle):
+            if switch_gate and not policy.flit_may_use_switch(head, cycle):
                 continue
             out = vc.out
             if vc.out_vc is None:  # ejection
-                if out.is_full:
+                if len(out.queue) >= out.capacity:
                     continue
             elif (
                 vc.va_cycle >= cycle
                 or len(out.retrans._entries) >= out.retrans.depth
-                or not policy.may_admit_retrans(head, out.retrans)
+                or (
+                    admit_gate
+                    and not policy.may_admit_retrans(head, out.retrans)
+                )
                 or out.credits._credits[vc.out_vc] <= 0
             ):
                 continue
@@ -466,40 +534,45 @@ class Router:
             else:
                 movable[vc.position] = [vc.idx]
         ports = self._ports
+        input_arbs = self._sa_input_arb
         nominations: dict[int, VCState] = {}
-        requests_per_out: dict[PortKey, list[int]] = {}
+        # keyed by the routed OutputPort/EjectPort, one per route_out
+        requests_per_out: dict[object, list[int]] = {}
         for position, idxs in movable.items():
-            port = ports[position]
-            vc = port.vcs[self._sa_input_arb[port.key].grant_indices(idxs)]
+            vc = ports[position].vcs[input_arbs[position].grant_indices(idxs)]
             nominations[position] = vc
-            if vc.route_out in requests_per_out:
-                requests_per_out[vc.route_out].append(position)
+            if vc.out in requests_per_out:
+                requests_per_out[vc.out].append(position)
             else:
-                requests_per_out[vc.route_out] = [position]
+                requests_per_out[vc.out] = [position]
 
         # Output-side arbitration: one winner per output.
-        for out_key, positions in requests_per_out.items():
+        for out, positions in requests_per_out.items():
             vc = nominations[
-                self._sa_output_arb[out_key].grant_indices(positions)
+                self._sa_output_arb[out].grant_indices(positions)
             ]
             flit = vc.pop()
             flit.last_move_cycle = cycle
-            out = vc.out
-            if vc.out_vc is None:  # ejection
+            out_vc = vc.out_vc
+            if out_vc is None:  # ejection
                 out.queue.append(flit)
+                self.work.ejects += 1
             else:
-                tag = out.retrans.admit(flit, vc.out_vc, cycle)
+                seqs = out.vc_seq_counters
+                tag = out.retrans.admit(flit, out_vc, cycle, seqs[out_vc])
                 assert tag is not None, "retrans admit after is_full check"
-                entry = out.retrans.get(tag)
-                entry.vc_seq = out.vc_seq_counters[vc.out_vc]
-                out.vc_seq_counters[vc.out_vc] += 1
-                out.credits.consume(vc.out_vc)
+                seqs[out_vc] += 1
+                # CreditTracker.consume, inlined: the credit was
+                # checked above and only this flit claims the output
+                credits = out.credits
+                credits._credits[out_vc] -= 1
+                credits.consumed_total += 1
 
             # Free the input buffer slot: return a credit upstream.
             port = ports[vc.position]
             if port.upstream_credits is not None:
                 port.upstream_credits.release(vc.idx, cycle)
-                self.credit_release_dirs.append(port.key)
+                self.credit_woken.append(port.upstream_router)
 
             if flit.is_tail:
                 vc.reset_packet_state()
@@ -512,67 +585,56 @@ class Router:
         """Launch one ready flit per output link; returns the keys of
         the links launched on."""
         launched = []
+        policy = self.policy
+        link_gate = "flit_may_use_link" in policy.gated
         for out in self.out_ports:
+            entries = out.retrans._entries
             link = out.link
             # the emptiness tests in the stepping loops read the
             # containers directly: a property read is a Python call
-            if not out.retrans._order or link.disabled or link.paused:
+            if not entries or link.disabled or link.paused:
                 continue
-            candidates = [
-                entry
-                for entry in out.retrans.ready_entries(cycle)
-                if self.policy.flit_may_use_link(entry.flit, cycle)
-            ]
-            if not candidates:
-                continue
-            if out.lob is not None:
+            if out.lob is None:
+                # the oldest sendable entry, if any is due
+                for entry in entries.values():
+                    if (
+                        entry.state is _READY
+                        and entry.defer_until <= cycle
+                        and (
+                            not link_gate
+                            or policy.flit_may_use_link(entry.flit, cycle)
+                        )
+                    ):
+                        break
+                else:
+                    continue
+                data, descriptor = entry.flit.data, None
+            else:
+                candidates = [
+                    entry
+                    for entry in out.retrans.ready_entries(cycle)
+                    if not link_gate
+                    or policy.flit_may_use_link(entry.flit, cycle)
+                ]
+                if not candidates:
+                    continue
                 selection = out.lob.select_and_encode(candidates, cycle)
                 if selection is None:
                     continue
                 entry, data, descriptor = selection
-            else:
-                entry = candidates[0]
-                data, descriptor = entry.flit.data, None
-            codeword = codec.encode(data)
-            tx = Transmission(
-                tag=entry.tag,
-                vc=entry.out_vc,
-                vc_seq=entry.vc_seq,
-                codeword=codeword,
-                flit=entry.flit,
-                ob=descriptor,
-                launch_cycle=cycle,
+            link.launch(
+                Transmission(
+                    entry.tag, entry.out_vc, entry.vc_seq, codec.encode(data),
+                    entry.flit, descriptor, cycle,
+                ),
+                cycle,
             )
-            link.launch(tx, cycle)
-            out.retrans.mark_launched(entry.tag, cycle)
+            # RetransBuffer.mark_launched, inlined: the entry is READY
+            entry.state = _IN_FLIGHT
+            entry.send_count += 1
+            entry.last_send_cycle = cycle
             launched.append((self.id, out.direction))
         return launched
-
-    # -- ACK processing ----------------------------------------------------
-    def process_acks(self, cycle: int) -> None:
-        for out in self.out_ports:
-            if not out.link._acks:
-                continue
-            for ack in out.link.pop_acks(cycle):
-                if out.link.ack_hooks:
-                    entry_for_hook = out.retrans.get(ack.tag)
-                    flit = entry_for_hook.flit if entry_for_hook else None
-                    for hook in out.link.ack_hooks:
-                        hook(ack, cycle, flit)
-                if ack.ok:
-                    out.last_ack_cycle = cycle
-                    entry = out.retrans.on_ack(ack.tag)
-                    if entry is not None and entry.flit.is_tail:
-                        # Tail safely across: the downstream VC may now be
-                        # re-allocated to another packet.
-                        out.holders[entry.out_vc] = None
-                        out.holder_pkts[entry.out_vc] = None
-                    if out.lob is not None and ack.ob_success is not None:
-                        out.lob.record_success(
-                            ack.flow_signature, ack.ob_success
-                        )
-                else:
-                    out.retrans.on_nack(ack.tag, ack.advice)
 
     # -- ejection ------------------------------------------------------------
     def drain_ejects(self, cycle: int) -> list[Flit]:
@@ -583,20 +645,18 @@ class Router:
                 flit = port.queue.popleft()
                 flit.ejected_cycle = cycle
                 delivered.append(flit)
-                self.flits_ejected += 1
+        self.flits_ejected += len(delivered)
+        self.work.ejects -= len(delivered)
         return delivered
 
     # -- introspection ------------------------------------------------------
     def holds_flits(self) -> bool:
         """A flit sits in an input VC, a link input's receive pipeline
         or an ejection queue (attribute reads, no buffer scans)."""
-        if self.work.flits:
+        if self.work.flits or self.work.ejects:
             return True
         for port in self._ports:
             if port.receiver is not None and port.receiver.staged_count:
-                return True
-        for eject in self.ejects.values():
-            if eject.queue:
                 return True
         return False
 
@@ -608,10 +668,13 @@ class Router:
         return sum(self.work.ports[:self.cfg.concentration])
 
     def output_occupancy(self) -> int:
-        return sum(out.retrans.occupancy for out in self.outputs.values())
+        return sum(len(out.retrans._entries) for out in self.out_ports)
 
     def any_output_blocked(self, cycle: int) -> bool:
-        return any(out.is_blocked(cycle) for out in self.outputs.values())
+        for out in self.out_ports:
+            if out.is_blocked(cycle):
+                return True
+        return False
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` this router may do work, or

@@ -127,55 +127,36 @@ def torus_connected(cfg: NoCConfig, avoid: Iterable[LinkKey]) -> bool:
     :func:`repro.noc.adaptive.turn_model_connected` for tori: a pair is
     routable iff some x-arc in the source row is clear *and* some y-arc
     in the destination column is clear (routing is strict dimension
-    order, so those are exactly the arcs a packet can use).
+    order, so those are exactly the arcs a packet can use).  Every
+    (from, to) position pair of every row occurs as the x-leg of some
+    pair, and likewise for every column, so the answer is whether each
+    ring can join every two of its positions; a ring holding no avoided
+    link always can, and only the others are checked.
     """
-    avoid = frozenset(avoid)
-    if not avoid:
-        return True
-    width, height = cfg.mesh_width, cfg.mesh_height
-    # avoided positions per ring and ring-direction
-    east_blocked: dict[int, set[int]] = {}
-    west_blocked: dict[int, set[int]] = {}
-    north_blocked: dict[int, set[int]] = {}
-    south_blocked: dict[int, set[int]] = {}
-    for router, direction in avoid:
+    # avoided ring positions per ring, in its positive and negative
+    # direction: rows carry the x-arcs, columns the y-arcs
+    rings: dict[tuple[str, int], tuple[set[int], set[int]]] = {}
+    for router, direction in frozenset(avoid):
         x, y = cfg.router_xy(router)
-        if direction is Direction.EAST:
-            east_blocked.setdefault(y, set()).add(x)
-        elif direction is Direction.WEST:
-            west_blocked.setdefault(y, set()).add(x)
-        elif direction is Direction.NORTH:
-            north_blocked.setdefault(x, set()).add(y)
-        elif direction is Direction.SOUTH:
-            south_blocked.setdefault(x, set()).add(y)
+        if direction is Direction.EAST or direction is Direction.WEST:
+            positive, negative = rings.setdefault(("row", y), (set(), set()))
+            (positive if direction is Direction.EAST else negative).add(x)
+        elif direction is Direction.NORTH or direction is Direction.SOUTH:
+            positive, negative = rings.setdefault(("col", x), (set(), set()))
+            (positive if direction is Direction.NORTH else negative).add(y)
 
     def arc_clear(frm, to, size, blocked, positive):
         return not any(
             p in blocked for p in arc_sources(frm, to, size, positive)
         )
 
-    for src in range(cfg.num_routers):
-        sx, sy = cfg.router_xy(src)
-        for dst in range(cfg.num_routers):
-            if src == dst:
-                continue
-            dx, dy = cfg.router_xy(dst)
-            if sx != dx:
-                east_ok = arc_clear(
-                    sx, dx, width, east_blocked.get(sy, ()), True
-                )
-                west_ok = arc_clear(
-                    sx, dx, width, west_blocked.get(sy, ()), False
-                )
-                if not (east_ok or west_ok):
-                    return False
-            if sy != dy:
-                north_ok = arc_clear(
-                    sy, dy, height, north_blocked.get(dx, ()), True
-                )
-                south_ok = arc_clear(
-                    sy, dy, height, south_blocked.get(dx, ()), False
-                )
-                if not (north_ok or south_ok):
+    for (kind, _index), (positive, negative) in rings.items():
+        size = cfg.mesh_width if kind == "row" else cfg.mesh_height
+        for frm in range(size):
+            for to in range(size):
+                if frm != to and not (
+                    arc_clear(frm, to, size, positive, True)
+                    or arc_clear(frm, to, size, negative, False)
+                ):
                     return False
     return True

@@ -57,6 +57,7 @@ from typing import Callable, Optional
 
 from repro.noc.network import Network
 from repro.noc.retrans import EntryState, NackAdvice, RetransEntry
+from repro.noc.router import OutputPort
 from repro.noc.topology import LinkKey, links_on_xy_path
 from repro.resilience.degrade import DropReport, drop_packet_at_port
 
@@ -304,14 +305,16 @@ class RetransWatchdog:
     # -- the per-cycle ladder ----------------------------------------------
     def on_cycle(self, network: Network, cycle: int) -> None:
         cfg = self.config
-        for key in network.links:
-            out = network.output_port_of(key)
-            if out.retrans.is_empty:
+        # canonical link order: the containment gate draws jitter per
+        # denial, so the order of its calls is part of the result
+        for key, out in network.link_outputs():
+            if not out.retrans._entries:
                 continue
             condemned = key in self._condemned
-            obfuscate_after, max_retries, _, _ = self._ladder_thresholds(key)
+            thresholds = self._ladder_thresholds(key)
+            obfuscate_after, max_retries, _, _ = thresholds
             ladder_active = False
-            for entry in list(out.retrans):
+            for entry in list(out.retrans._entries.values()):
                 sends = entry.send_count
                 if sends < cfg.backoff_after:
                     continue
@@ -333,7 +336,9 @@ class RetransWatchdog:
                     self._force_obfuscation(network, key, entry, cycle)
                 self._apply_backoff(network, key, entry, cycle)
             if not condemned:
-                self._maybe_condemn(network, key, cycle, ladder_active)
+                self._maybe_condemn(
+                    network, key, cycle, ladder_active, out, thresholds
+                )
         self._prune(network)
 
     # -- rungs ---------------------------------------------------------------
@@ -415,12 +420,22 @@ class RetransWatchdog:
         )
 
     def _maybe_condemn(
-        self, network: Network, key: LinkKey, cycle: int, ladder_active: bool
+        self,
+        network: Network,
+        key: LinkKey,
+        cycle: int,
+        ladder_active: bool,
+        out: Optional[OutputPort] = None,
+        thresholds: Optional[tuple[int, int, int, int]] = None,
     ) -> None:
-        out = network.output_port_of(key)
-        _, _, condemn_after_drops, condemn_pinned_age = (
-            self._ladder_thresholds(key)
-        )
+        """Condemn ``key`` once its drops or pinned age cross the
+        ladder's thresholds; :meth:`on_cycle` passes the output port and
+        thresholds it already resolved."""
+        if out is None:
+            out = network.output_port_of(key)
+        if thresholds is None:
+            thresholds = self._ladder_thresholds(key)
+        _, _, condemn_after_drops, condemn_pinned_age = thresholds
         by_drops = self._drops_per_link.get(key, 0) >= condemn_after_drops
         by_age = (
             ladder_active
@@ -470,8 +485,8 @@ class RetransWatchdog:
             return
         live = {
             (key, entry.tag)
-            for key in network.links
-            for entry in network.output_port_of(key).retrans
+            for key, out in network.link_outputs()
+            for entry in out.retrans._entries.values()
         }
         self._backed_off = {
             k: v for k, v in self._backed_off.items() if k in live

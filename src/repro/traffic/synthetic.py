@@ -99,18 +99,28 @@ class SyntheticSource(TrafficSource):
         self._next_pkt_id = 0
 
     def generate(self, cycle: int) -> list[Packet]:
-        if self.config.duration is not None and cycle >= self.config.duration:
+        config = self.config
+        if config.duration is not None and cycle >= config.duration:
             return []
         if (
-            self.config.max_packets is not None
-            and self._next_pkt_id >= self.config.max_packets
+            config.max_packets is not None
+            and self._next_pkt_id >= config.max_packets
         ):
             return []
+        rate = config.injection_rate
+        if rate <= 0.0:
+            # SeededStream.chance draws nothing at rate 0, nor here
+            return []
+        cfg = self.cfg
+        stream = self.stream
+        # one uniform draw per core, exactly as stream.chance(rate)
+        # makes them (none at rate 1), without a Python call per draw
+        draw = None if rate >= 1.0 else stream.uniform_fn()
         out: list[Packet] = []
-        for src in range(self.cfg.num_cores):
-            if not self.stream.chance(self.config.injection_rate):
+        for src in range(cfg.num_cores):
+            if draw is not None and not draw() < rate:
                 continue
-            dst = self.pattern(self.cfg, src, self.stream)
+            dst = self.pattern(cfg, src, stream)
             if dst == src:
                 continue
             out.append(
@@ -118,17 +128,17 @@ class SyntheticSource(TrafficSource):
                     pkt_id=self._next_pkt_id,
                     src_core=src,
                     dst_core=dst,
-                    vc_class=self.stream.randint(0, self.cfg.num_vcs - 1),
-                    mem_addr=self.stream.bits(32),
-                    payload=[self.stream.bits(self.cfg.flit_bits)
-                             for _ in range(self.config.payload_words)],
+                    vc_class=stream.randint(0, cfg.num_vcs - 1),
+                    mem_addr=stream.bits(32),
+                    payload=[stream.bits(cfg.flit_bits)
+                             for _ in range(config.payload_words)],
                     created_cycle=cycle,
                 )
             )
             self._next_pkt_id += 1
             if (
-                self.config.max_packets is not None
-                and self._next_pkt_id >= self.config.max_packets
+                config.max_packets is not None
+                and self._next_pkt_id >= config.max_packets
             ):
                 break
         return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -75,6 +75,12 @@ class SeededStream:
 
     def random(self) -> float:
         return self._rng.random()
+
+    def uniform_fn(self) -> Callable[[], float]:
+        """The bound ``random`` of the underlying generator, for loops
+        that draw many uniform floats: each call is one draw of
+        :meth:`random`, without a wrapper call around it."""
+        return self._rng.random
 
     def chance(self, probability: float) -> bool:
         """Bernoulli draw."""

@@ -3,6 +3,7 @@ discipline, clear-arc containment routing, and express channels."""
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -195,6 +196,50 @@ class TestTorusArcRouting:
         assert clone.route(0, 2, 0) is routing.route(0, 2, 0)
 
 
+def torus_connected_by_pairs(cfg, avoid):
+    """Reference: clear-arc reachability walked over every (src, dst)
+    pair, as torus_connected computed it before it checked rings."""
+    avoid = frozenset(avoid)
+    if not avoid:
+        return True
+    width, height = cfg.mesh_width, cfg.mesh_height
+    east_blocked, west_blocked = {}, {}
+    north_blocked, south_blocked = {}, {}
+    for router, direction in avoid:
+        x, y = cfg.router_xy(router)
+        if direction is Direction.EAST:
+            east_blocked.setdefault(y, set()).add(x)
+        elif direction is Direction.WEST:
+            west_blocked.setdefault(y, set()).add(x)
+        elif direction is Direction.NORTH:
+            north_blocked.setdefault(x, set()).add(y)
+        elif direction is Direction.SOUTH:
+            south_blocked.setdefault(x, set()).add(y)
+
+    def arc_clear(frm, to, size, blocked, positive):
+        return not any(
+            p in blocked for p in arc_sources(frm, to, size, positive)
+        )
+
+    for src in range(cfg.num_routers):
+        sx, sy = cfg.router_xy(src)
+        for dst in range(cfg.num_routers):
+            if src == dst:
+                continue
+            dx, dy = cfg.router_xy(dst)
+            if sx != dx and not (
+                arc_clear(sx, dx, width, east_blocked.get(sy, ()), True)
+                or arc_clear(sx, dx, width, west_blocked.get(sy, ()), False)
+            ):
+                return False
+            if sy != dy and not (
+                arc_clear(sy, dy, height, north_blocked.get(dx, ()), True)
+                or arc_clear(sy, dy, height, south_blocked.get(dx, ()), False)
+            ):
+                return False
+    return True
+
+
 class TestTorusConnected:
     def test_empty_avoid_is_connected(self):
         assert torus_connected(TORUS8, ())
@@ -206,6 +251,28 @@ class TestTorusConnected:
         # cut both arcs between (0,0) and (1,0): the row pair is stuck
         avoid = [(0, Direction.EAST), (7, Direction.WEST)]
         assert not torus_connected(TORUS8, avoid)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (5, 3), (8, 8)])
+    def test_ring_check_matches_all_pairs_walk(self, shape):
+        width, height = shape
+        cfg = NoCConfig(mesh_width=width, mesh_height=height, topology="torus")
+        links = all_links(cfg)
+        rng = random.Random(width * 100 + height)
+        avoid_sets = [
+            [],
+            [(0, Direction.EAST), (0, Direction.WEST)],  # row cut
+            [(0, Direction.NORTH), (0, Direction.SOUTH)],  # column cut
+        ]
+        avoid_sets += [
+            rng.sample(links, rng.choice([1, 2, 3, 5, 8]))
+            for _ in range(60)
+        ]
+        outcomes = set()
+        for avoid in avoid_sets:
+            expected = torus_connected_by_pairs(cfg, avoid)
+            assert torus_connected(cfg, avoid) == expected, avoid
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_dispatched_through_turn_model_connected(self):
         assert turn_model_connected(TORUS8, "torus-arc",

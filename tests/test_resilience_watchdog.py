@@ -291,3 +291,29 @@ class TestWatchdogConfig:
         watchdog.attach(second)
         assert watchdog not in first.monitors
         assert second.monitors == [watchdog]
+
+
+def test_ladder_visits_links_in_canonical_order():
+    """The containment gate draws jitter per denial, so the ladder must
+    consult it link by link in canonical (router, then output) order,
+    whatever order the buffers filled in."""
+    import random
+
+    from repro.noc import Network, Packet
+
+    net = Network(PAPER_CONFIG)
+    watchdog = RetransWatchdog().attach(net)
+    asked = []
+    watchdog.action_gate = lambda stage, key, cycle: asked.append(key) and False
+    keys = list(net.links)
+    pinned = random.Random(5).sample(keys, 8)
+    for pkt_id, key in enumerate(pinned):
+        flit = Packet(pkt_id=pkt_id, src_core=0, dst_core=63).build_flits(
+            PAPER_CONFIG
+        )[0]
+        out = net.output_port_of(key)
+        entry = out.retrans.get(out.retrans.admit(flit, 0, 0, 0))
+        entry.send_count = watchdog.config.max_retries
+    watchdog.on_cycle(net, 10)
+    assert set(asked) == set(pinned)
+    assert asked == sorted(asked, key=keys.index)
