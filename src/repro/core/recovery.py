@@ -26,7 +26,11 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.baselines.reroute import disable_both_ways, updown_table
+from repro.baselines.reroute import (
+    UnroutableError,
+    disable_both_ways,
+    updown_table,
+)
 from repro.noc.config import NoCConfig
 from repro.noc.flit import Packet
 from repro.noc.network import Network
@@ -46,32 +50,37 @@ class RecoveryReport:
 
 
 class RecoveryManager:
-    """Tracks offered packets and rebuilds the network on recovery.
+    """Keeps the ledger of offered packets and rebuilds the network on
+    recovery.
 
-    Use :meth:`offer` instead of ``network.add_packet`` so the manager
-    can resubmit undelivered packets after an epoch change.
+    The ledger holds a pristine copy of every packet the run will
+    offer, given up front; a packet counts as offered once the network
+    holds its record, so the manager can resubmit whatever was offered
+    but not delivered after an epoch change.
     """
 
     #: alias pkt_ids start here — far above any traffic generator's ids,
     #: so an alias can never collide with an offered packet
     ALIAS_BASE = 1_000_000_000
 
-    def __init__(self, network: Network):
+    def __init__(self, network: Network, packets: Iterable[Packet]):
         self.network = network
-        #: pristine copies of every offered packet
+        #: pristine copies of every packet the run offers
         self._ledger: dict[int, Packet] = {}
+        for packet in packets:
+            if packet.pkt_id in self._ledger:
+                raise ValueError(f"duplicate pkt_id {packet.pkt_id}")
+            self._ledger[packet.pkt_id] = copy.deepcopy(packet)
+        #: ledger ids some epoch's network has held a record of; an
+        #: epoch change drops the records of packets delivered only
+        #: through an alias, so the offered set must outlive them
+        self._offered: set[int] = set()
         #: original pkt_id -> alias pkt_ids of its in-place resubmissions
         self._aliases: dict[int, list[int]] = {}
         self._next_alias = self.ALIAS_BASE
         self.reports: list[RecoveryReport] = []
 
     # ------------------------------------------------------------------
-    def offer(self, packet: Packet) -> None:
-        if packet.pkt_id in self._ledger:
-            raise ValueError(f"duplicate pkt_id {packet.pkt_id}")
-        self._ledger[packet.pkt_id] = copy.deepcopy(packet)
-        self.network.add_packet(packet)
-
     def resubmit(self, pkt_id: int, cycle: Optional[int] = None) -> int:
         """Re-offer a degraded packet end-to-end *within* the current
         epoch, under a fresh alias id.
@@ -92,10 +101,16 @@ class RecoveryManager:
         self.network.stats.packets_resubmitted += 1
         return clone.pkt_id
 
+    def _offered_ids(self) -> list[int]:
+        """Offered ledger ids, in ledger order."""
+        records = self.network.stats.packets
+        self._offered |= records.keys() & self._ledger.keys()
+        return [pkt_id for pkt_id in self._ledger if pkt_id in self._offered]
+
     @property
     def offered(self) -> int:
-        """Packets ever offered through the ledger."""
-        return len(self._ledger)
+        """Ledger packets the network has been offered so far."""
+        return len(self._offered_ids())
 
     def has(self, pkt_id: int) -> bool:
         return pkt_id in self._ledger
@@ -130,15 +145,16 @@ class RecoveryManager:
         return dups
 
     def undelivered(self) -> list[Packet]:
+        """Offered packets without a correct delivery, in ledger order."""
         return [
-            packet
-            for pkt_id, packet in self._ledger.items()
+            self._ledger[pkt_id]
+            for pkt_id in self._offered_ids()
             if not self._delivered_ok(pkt_id)
         ]
 
     @property
     def delivered(self) -> int:
-        return len(self._ledger) - len(self.undelivered())
+        return self.offered - len(self.undelivered())
 
     # ------------------------------------------------------------------
     def recover(
@@ -151,23 +167,30 @@ class RecoveryManager:
     ) -> Network:
         """Run the freeze/drain/reconfigure/resubmit sequence.
 
-        Returns the new-epoch network (also stored on ``self.network``).
+        Returns the new-epoch network (also stored on ``self.network``),
+        which takes over the old network's traffic source.
         ``reconfiguration_cycles`` models the firmware broadcast that
         distributes the new routing tables (Ariadne's reconfiguration
-        wave) — accounted as downtime in the report.
+        wave) — accounted as downtime in the report.  When no up*/down*
+        table routes around ``condemned`` the drained old network keeps
+        its source and :class:`UnroutableError` propagates.
         """
         old = self.network
         condemned = tuple(sorted(set(condemned)))
 
         # 1-2. freeze injection and drain what still moves
-        old.traffic = None
+        source, old.traffic = old.traffic, None
         start = old.cycle
         drained = old.run_until_drained(drain_limit, stall_limit=stall_limit)
         drain_cycles = old.cycle - start
 
         # 4. new epoch: same microarchitecture, reconfigured routing
         cfg = dataclasses.replace(old.cfg, routing="table")
-        table = updown_table(old.cfg, condemned)
+        try:
+            table = updown_table(old.cfg, condemned)
+        except UnroutableError:
+            old.traffic = source
+            raise
         fresh = Network(cfg, routing_table=table, e2e=old.e2e,
                         policy=old.policy)
         fresh.full_sweep = old.full_sweep
@@ -178,8 +201,10 @@ class RecoveryManager:
                 for tamperer in link.tamperers:
                     fresh.links[key].tamperers.append(tamperer)
         fresh.cycle = old.cycle + reconfiguration_cycles
+        fresh.traffic = source
 
-        # 5. resubmit everything undelivered (3. the abandoned packets)
+        # 5. resubmit everything undelivered (3. the abandoned packets);
+        # the ledger reads the old network's records for the last time
         resubmitted = 0
         delivered_before = self.delivered
         for packet in self.undelivered():

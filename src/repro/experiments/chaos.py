@@ -14,8 +14,8 @@ plus uniform background traffic:
   degradation is strictly opt-in).  A harmless soft-error burst rides
   along and the campaign's explanation pass
   (:func:`repro.resilience.campaign.minimal_explaining_events`)
-  delta-debugs the event list, reporting that the TASP activation
-  alone explains the deadlock.
+  delta-debugs the scenario's faults, reporting that the TASP
+  activation alone explains the deadlock.
 * **bare-watchdog** — the TASP attack on a baseline network *with*
   the watchdog but no L-Ob rung available: survival must come from
   bounded retries, packet drops and rerouting recovery alone.
@@ -28,15 +28,21 @@ from dataclasses import dataclass
 from repro.core.targets import TargetSpec
 from repro.noc.config import NoCConfig, PAPER_CONFIG
 from repro.noc.topology import Direction
-from repro.resilience import (
+from repro.resilience.campaign import (
     CampaignReport,
     CampaignSpec,
-    LinkKill,
-    TransientBurst,
-    TrojanActivation,
     run_campaign,
     targeted_stream,
     uniform_traffic,
+)
+from repro.resilience.watchdog import WatchdogConfig
+from repro.sim.scenario import (
+    DefenseSpec,
+    ExplicitTraffic,
+    LinkKillSpec,
+    Scenario,
+    TransientFaultSpec,
+    TrojanSpec,
 )
 
 #: the infected link and the flow TASP hunts (paper Fig. 1 setup)
@@ -52,72 +58,77 @@ class ChaosResult:
     bare_watchdog: CampaignReport
 
 
-def _traffic(cfg: NoCConfig, heavy: bool) -> list:
+def _traffic(cfg: NoCConfig, heavy: bool) -> tuple[ExplicitTraffic]:
     if heavy:
-        return targeted_stream(
+        packets = targeted_stream(
             cfg, VICTIM_SRC, VICTIM_DST, 40, interval=4
         ) + uniform_traffic(cfg, 1, 60, interval=2)
-    return targeted_stream(
-        cfg, VICTIM_SRC, VICTIM_DST, 10, interval=10
-    ) + uniform_traffic(cfg, 1, 24, interval=6)
+    else:
+        packets = targeted_stream(
+            cfg, VICTIM_SRC, VICTIM_DST, 10, interval=10
+        ) + uniform_traffic(cfg, 1, 24, interval=6)
+    return (ExplicitTraffic(packets=packets),)
 
 
-def run(cfg: NoCConfig = PAPER_CONFIG) -> ChaosResult:
-    tasp = dict(
-        link=ATTACK_LINK, target=TargetSpec.for_dest(TARGET_ROUTER)
+def _tasp(at: int) -> TrojanSpec:
+    """The TASP instance implanted dormant, asserting its kill switch
+    at ``at``."""
+    return TrojanSpec(
+        link=ATTACK_LINK,
+        target=TargetSpec.for_dest(TARGET_ROUTER),
+        enabled=False,
+        enable_at=at,
     )
 
-    ladder = run_campaign(
-        CampaignSpec(
+
+def campaigns(cfg: NoCConfig = PAPER_CONFIG) -> tuple[CampaignSpec, ...]:
+    """The ladder, no-watchdog and bare-watchdog campaigns."""
+    ladder = CampaignSpec(
+        Scenario(
             name="ladder",
             cfg=cfg,
             traffic=_traffic(cfg, heavy=False),
-            events=[
-                TrojanActivation(at=20, **tasp),
-                LinkKill(link=ATTACK_LINK, at=60),
-            ],
+            trojans=(_tasp(20),),
+            wire_faults=(LinkKillSpec(link=ATTACK_LINK, at=60),),
+            defense=DefenseSpec(mitigated=True, watchdog=WatchdogConfig()),
             max_cycles=6000,
         )
     )
-
-    no_watchdog = run_campaign(
-        CampaignSpec(
+    no_watchdog = CampaignSpec(
+        Scenario(
             name="no-watchdog",
             cfg=cfg,
             traffic=_traffic(cfg, heavy=True),
-            events=[
-                TrojanActivation(at=10, **tasp),
+            trojans=(_tasp(10),),
+            faults=(
                 # a correctable soft-error burst far from the attack:
                 # the explanation pass must rule it out as a cause
-                TransientBurst(
-                    link=(10, Direction.EAST), at=30, duration=200,
-                    flip_probability=0.02, double_fraction=0.0,
+                TransientFaultSpec(
+                    link=(10, Direction.EAST), rate=0.02,
+                    labels=("burst", 10, "EAST", 30),
+                    enable_at=30, disable_at=230,
                 ),
-            ],
-            mitigated=False,
-            watchdog=None,
+            ),
             max_cycles=2500,
-            deadlock_window=400,
-            explain_violations=True,
-        )
+        ),
+        deadlock_window=400,
+        explain_violations=True,
     )
-
-    bare_watchdog = run_campaign(
-        CampaignSpec(
+    bare_watchdog = CampaignSpec(
+        Scenario(
             name="bare-watchdog",
             cfg=cfg,
             traffic=_traffic(cfg, heavy=True),
-            events=[TrojanActivation(at=10, **tasp)],
-            mitigated=False,
+            trojans=(_tasp(10),),
+            defense=DefenseSpec(watchdog=WatchdogConfig()),
             max_cycles=8000,
         )
     )
+    return ladder, no_watchdog, bare_watchdog
 
-    return ChaosResult(
-        ladder=ladder,
-        no_watchdog=no_watchdog,
-        bare_watchdog=bare_watchdog,
-    )
+
+def run(cfg: NoCConfig = PAPER_CONFIG) -> ChaosResult:
+    return ChaosResult(*(run_campaign(spec) for spec in campaigns(cfg)))
 
 
 def format_result(result: ChaosResult) -> str:

@@ -21,7 +21,7 @@ class CreditTracker:
     """Upstream view of one downstream input port's VC buffers."""
 
     __slots__ = ("num_vcs", "depth", "latency", "_credits", "_pending",
-                 "consumed_total", "released_total", "frozen")
+                 "consumed_total", "released_total")
 
     def __init__(self, num_vcs: int, depth: int, latency: int = 1):
         if num_vcs <= 0 or depth <= 0:
@@ -38,13 +38,10 @@ class CreditTracker:
         self._pending: list[tuple[int, int]] = []
         self.consumed_total = 0
         self.released_total = 0
-        #: chaos-injection hook: while frozen, returned credits stay
-        #: pending (delayed, never lost — conservation still holds)
-        self.frozen = False
 
     def tick(self, cycle: int) -> None:
         """Apply credit returns that have become visible by ``cycle``."""
-        if self.frozen or not self._pending:
+        if not self._pending:
             return
         credits = self._credits
         due = 0

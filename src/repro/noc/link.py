@@ -86,7 +86,6 @@ class Link:
         "traversals",
         "corrupted_traversals",
         "disabled",
-        "paused",
     )
 
     def __init__(
@@ -114,10 +113,6 @@ class Link:
         self.corrupted_traversals = 0
         #: set by rerouting mitigation when the link is taken out of service
         self.disabled = False
-        #: chaos-injection hook (router stall / brownout): launches are
-        #: withheld while paused but nothing in flight is lost, so the
-        #: stall is flow-control-safe and fully reversible
-        self.paused = False
 
     @property
     def key(self) -> tuple[int, Direction]:

@@ -329,6 +329,7 @@ class Router:
     ):
         self.cfg = cfg
         self.id = router_id
+        self.num_routers = cfg.num_routers
         self.route_fn = route_fn
         self.policy = policy or SchedulingPolicy()
 
@@ -399,6 +400,7 @@ class Router:
     # -- BW/RC -------------------------------------------------------------
     def route_compute(self, cycle: int) -> None:
         pending = self.work.rc
+        num_routers = self.num_routers
         while pending:
             bit = pending & -pending
             pending ^= bit
@@ -408,7 +410,11 @@ class Router:
                 continue
             vc.cur_pkt = head.pkt_id
             direction = None
-            if head.dst_router != self.id:
+            if (
+                head.dst_router != self.id
+                and head.dst_router < num_routers
+                and head.src_router < num_routers
+            ):
                 # arrival port, for routing functions that forbid
                 # 180-degree turns (non-minimal containment detours)
                 self.routing_input = self._ports[vc.position].key
@@ -416,9 +422,10 @@ class Router:
                     self.id, head.dst_router, head.src_router, self
                 )
             if direction is None:
-                # Local delivery — or routing says "local" but the id
-                # disagrees (can happen after header SDC): eject here
-                # and let the endpoint detect the misdelivery.
+                # Local delivery — or, after header SDC, routing says
+                # "local" but the id disagrees, or the header names no
+                # router (a field wider than the router count): eject
+                # here and let the endpoint detect the misdelivery.
                 local = head.dst_core % self.cfg.concentration
                 vc.route_out = ("ej", local)
                 vc.out = self.ejects[local]
@@ -592,7 +599,7 @@ class Router:
             link = out.link
             # the emptiness tests in the stepping loops read the
             # containers directly: a property read is a Python call
-            if not entries or link.disabled or link.paused:
+            if not entries or link.disabled:
                 continue
             if out.lob is None:
                 # the oldest sendable entry, if any is due

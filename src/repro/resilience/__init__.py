@@ -2,10 +2,10 @@
 
 Three cooperating pieces on top of the NoC simulator:
 
-* :mod:`repro.resilience.scenarios` / :mod:`repro.resilience.campaign`
-  — declarative, seeded chaos campaigns that inject scheduled fault
-  events while auditing conservation invariants and exactly-once
-  delivery;
+* :mod:`repro.resilience.campaign` — seeded chaos campaigns that run
+  a scenario's scheduled faults while auditing conservation invariants
+  and exactly-once delivery (import its names from that module: it
+  builds on :mod:`repro.sim`, which imports this package's configs);
 * :mod:`repro.resilience.watchdog` — per-output-port progress timers
   that walk pinned retransmission slots up an escalation ladder
   (exponential backoff -> forced L-Ob -> drop-with-notify -> condemn);
@@ -39,25 +39,7 @@ from repro.resilience.probe import (
     ProbeTrial,
     ProbeVerdict,
 )
-from repro.resilience.campaign import (
-    CampaignReport,
-    CampaignSpec,
-    ChaosCampaign,
-    run_campaign,
-)
 from repro.resilience.degrade import DropReport, drop_packet_at_port
-from repro.resilience.scenarios import (
-    ChaosEvent,
-    CreditFreeze,
-    LinkKill,
-    RouterStall,
-    StuckAtOnset,
-    TransientBurst,
-    TrojanActivation,
-    random_events,
-    targeted_stream,
-    uniform_traffic,
-)
 from repro.resilience.watchdog import (
     EscalationEvent,
     EscalationStage,
@@ -80,22 +62,8 @@ __all__ = [
     "ProbeTrial",
     "ProbeVerdict",
     "PartitionRisk",
-    "CampaignReport",
-    "CampaignSpec",
-    "ChaosCampaign",
-    "run_campaign",
     "DropReport",
     "drop_packet_at_port",
-    "ChaosEvent",
-    "CreditFreeze",
-    "LinkKill",
-    "RouterStall",
-    "StuckAtOnset",
-    "TransientBurst",
-    "TrojanActivation",
-    "random_events",
-    "targeted_stream",
-    "uniform_traffic",
     "EscalationEvent",
     "EscalationStage",
     "RetransWatchdog",

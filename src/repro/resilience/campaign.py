@@ -1,78 +1,107 @@
-"""Chaos campaign engine: scheduled faults + invariants + recovery.
+"""Chaos campaign engine: a scenario's faults + invariants + recovery.
 
-A :class:`ChaosCampaign` takes a declarative :class:`CampaignSpec` — a
-network configuration, a traffic schedule, a list of
-:class:`repro.resilience.scenarios.ChaosEvent` fault events and a
-watchdog configuration — and runs the whole resilience stack in one
-loop:
+A :class:`ChaosCampaign` runs a :class:`CampaignSpec` — a
+:class:`~repro.sim.scenario.Scenario` (network, literal traffic,
+trojans, transient faults and wire faults, defense stack) plus the
+campaign's own policy — through the whole resilience stack:
 
-* traffic is offered through a :class:`repro.core.recovery.RecoveryManager`
-  so every packet has a pristine ledger copy for end-to-end resubmission;
-* fault events fire on schedule (``at <= cycle`` catch-up semantics, so
-  events survive the cycle jump of an epoch change);
+* the scenario is built and stepped as a
+  :class:`~repro.sim.engine.Simulation`, which offers the traffic and
+  fires every scheduled fault edge (catch-up semantics, so edges
+  survive the clock jump of an epoch change);
+* a :class:`repro.core.recovery.RecoveryManager` ledger keeps a
+  pristine copy of every packet for end-to-end resubmission;
 * a :class:`repro.noc.invariants.NetworkValidator` audits conservation
   laws continuously (violations are *collected*, not raised, so a run
   always produces a report);
 * the :class:`repro.resilience.watchdog.RetransWatchdog` escalation
-  ladder runs as a network monitor; its drop notifications trigger
-  in-place end-to-end resubmission (bounded per packet), and its
-  condemnations trigger epoch recovery (freeze/drain/reroute/resubmit);
+  ladder (``scenario.defense.watchdog``) runs as a network monitor;
+  its drop notifications trigger in-place end-to-end resubmission
+  (bounded per packet), and its condemnations trigger epoch recovery
+  (freeze/drain/reroute/resubmit);
 * progress is tracked independently of delivery (watchdog and recovery
   activity counts), so a campaign distinguishes "slow" from
   "deadlocked".
 
-The outcome is a structured :class:`CampaignReport`.
+A campaign steps every cycle, since it acts on the watchdog after each
+step, so it reads the same under either engine.  The outcome is a
+structured :class:`CampaignReport`.  The helpers at the end build
+campaign scenarios: :func:`targeted_stream` and
+:func:`uniform_traffic` packet schedules, and the :func:`random_events`
+fuzz generator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.baselines.reroute import UnroutableError
-from repro.core.mitigation import MitigationConfig
 from repro.core.recovery import RecoveryManager
+from repro.core.targets import TargetSpec
+from repro.core.tasp import TaspConfig
+from repro.ecc import SECDED_72_64
+from repro.faults.models import StuckAtKind
 from repro.noc.config import NoCConfig
-from repro.noc.flit import Packet
-from repro.noc.invariants import NetworkValidator
+from repro.noc.invariants import NetworkValidator, ValidationReport
 from repro.noc.network import Network
-from repro.noc.topology import LinkKey
-from repro.resilience.scenarios import ChaosEvent
-from repro.resilience.watchdog import RetransWatchdog, WatchdogConfig
-
-#: integer NetworkStats counters accumulated across epochs
-_ACCUM_COUNTERS = (
-    "packets_injected",
-    "packets_completed",
-    "flits_injected",
-    "flits_ejected",
-    "dropped_flits",
-    "degraded_flits",
-    "degraded_packets",
-    "packets_resubmitted",
-    "retrans_backoffs",
-    "lob_escalations",
+from repro.noc.topology import LinkKey, all_links
+from repro.sim.engine import Simulation, make_packet
+from repro.sim.scenario import (
+    FAULT_FIELDS,
+    DropAttackSpec,
+    ExplicitTraffic,
+    LinkKillSpec,
+    PacketSpec,
+    Scenario,
+    StuckAtSpec,
+    TransientFaultSpec,
+    TrojanSpec,
 )
+from repro.sim.shrink import greedy_min_subset
+from repro.util.rng import SeededStream
+
+#: report-label prefix of each fault spec
+_LABELS = {
+    TrojanSpec: "tasp",
+    DropAttackSpec: "grayhole",
+    TransientFaultSpec: "burst",
+    StuckAtSpec: "stuck",
+    LinkKillSpec: "kill",
+}
+
+
+def _label(spec) -> str:
+    """``tasp@0-EAST``-style label of one fault spec."""
+    router, direction = spec.link
+    return f"{_LABELS[type(spec)]}@{router}-{direction.name}"
+
+
+def _faults(scenario: Scenario) -> list[tuple[str, object]]:
+    """(field name, spec) of every injected fault, in field order."""
+    return [(name, spec) for name in FAULT_FIELDS
+            for spec in getattr(scenario, name)]
+
+
+def _window(spec) -> tuple[int, Optional[int]]:
+    """(onset, end) cycles of one fault spec; always-on ones from 0."""
+    if isinstance(spec, (StuckAtSpec, LinkKillSpec)):
+        return spec.at, None
+    return spec.enable_at or 0, spec.disable_at
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Declarative description of one chaos campaign."""
+    """One chaos campaign: a scenario plus the campaign's own policy.
 
-    name: str
-    cfg: NoCConfig
-    #: (offer_cycle, packet) pairs; offered through the recovery ledger
-    traffic: Sequence[tuple[int, Packet]]
-    events: Sequence[ChaosEvent] = ()
-    #: build with the paper's detector + L-Ob mitigation installed
-    mitigated: bool = True
-    mitigation: Optional[MitigationConfig] = None
-    #: None disables the watchdog (degradation is strictly opt-in)
-    watchdog: Optional[WatchdogConfig] = field(
-        default_factory=WatchdogConfig
-    )
-    #: hard cycle budget
-    max_cycles: int = 6000
+    The scenario's traffic must be :class:`ExplicitTraffic` (the
+    recovery ledger resubmits literal packets) and its ``max_cycles``
+    is the campaign's hard cycle budget; ``duration`` and
+    ``stall_limit`` do not apply.
+    """
+
+    scenario: Scenario
     #: invariant audit period (cycles)
     validate_every: int = 5
     #: end-to-end resubmissions allowed per offered packet
@@ -83,12 +112,19 @@ class CampaignSpec:
     recovery_drain_limit: int = 1500
     recovery_stall_limit: int = 300
     reconfiguration_cycles: int = 64
-    seed: int = 0
-    #: after a failing run, delta-debug the event list to find which
-    #: injected faults minimally explain the failure (costs extra runs)
+    #: after a failing run, delta-debug the scenario's faults to find
+    #: which minimally explain the failure (costs extra runs)
     explain_violations: bool = False
     #: campaign re-run budget for that explanation
     explain_budget: int = 32
+
+    def __post_init__(self) -> None:
+        for traffic in self.scenario.traffic:
+            if not isinstance(traffic, ExplicitTraffic):
+                raise ValueError(
+                    "campaign traffic must be ExplicitTraffic: the "
+                    "recovery ledger resubmits literal packets"
+                )
 
 
 @dataclass(frozen=True)
@@ -205,9 +241,11 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     minimal fault subset as ``minimal_events``.
     """
     report = ChaosCampaign(spec).run()
-    if spec.explain_violations and report.failed and spec.events:
-        import dataclasses
-
+    if (
+        spec.explain_violations
+        and report.failed
+        and _faults(spec.scenario)
+    ):
         report = dataclasses.replace(
             report,
             minimal_events=minimal_explaining_events(
@@ -223,47 +261,49 @@ def minimal_explaining_events(
     *,
     max_runs: int = 32,
 ) -> tuple[str, ...]:
-    """Labels of a 1-minimal event subset that still reproduces the
+    """Labels of a 1-minimal fault subset that still reproduces the
     campaign's failure mode.
 
-    Delta-debugs ``spec.events`` by re-running the campaign on
-    candidate subsets (each event deep-copied, so the stateful fault
-    models start fresh) and keeping removals under which the run still
+    Delta-debugs the scenario's fault specs (trojans, attacks,
+    transient faults, wire faults) with
+    :func:`repro.sim.shrink.greedy_min_subset`, re-running the campaign
+    on candidate subsets and keeping removals under which the run still
     *fails the same way*: an invariant-violating run must keep
-    violating, a deadlocked run must keep deadlocking.  At most
-    ``max_runs`` re-runs are spent; if the budget runs dry the
+    violating, a deadlocked run must keep deadlocking.  The specs are
+    frozen values, so every re-run builds its fault models fresh.  At
+    most ``max_runs`` re-runs are spent; if the budget runs dry the
     smallest subset found so far is returned (still failing, possibly
     not minimal).  Returns ``()`` when the original run didn't fail.
     """
-    import copy
-    import dataclasses as dc
-
-    from repro.sim.shrink import greedy_min_subset
+    if not report.failed:
+        return ()
 
     def failed_same_way(candidate: CampaignReport) -> bool:
         if report.violations:
             return bool(candidate.violations)
         return candidate.deadlocked
 
-    if not report.failed:
-        return ()
-
     runs = 0
 
-    def still_fails(events: list) -> bool:
+    def still_fails(items: list) -> bool:
         nonlocal runs
         if runs >= max_runs:
             return False  # budget dry: accept no further removals
         runs += 1
-        candidate = dc.replace(
-            spec,
-            events=tuple(copy.deepcopy(e) for e in events),
-            explain_violations=False,
+        scenario = dataclasses.replace(
+            spec.scenario,
+            **{
+                name: tuple(s for owner, s in items if owner == name)
+                for name in FAULT_FIELDS
+            },
+        )
+        candidate = dataclasses.replace(
+            spec, scenario=scenario, explain_violations=False
         )
         return failed_same_way(ChaosCampaign(candidate).run())
 
-    kept = greedy_min_subset(list(spec.events), still_fails)
-    return tuple(event.label() for event in kept)
+    kept = greedy_min_subset(_faults(spec.scenario), still_fails)
+    return tuple(_label(s) for _, s in kept)
 
 
 class ChaosCampaign:
@@ -272,87 +312,45 @@ class ChaosCampaign:
     def __init__(self, spec: CampaignSpec):
         self.spec = spec
 
-    # -- wiring --------------------------------------------------------------
-    def _build_network(self) -> Network:
-        from repro.sim import DefenseSpec, Scenario, engine
-
-        spec = self.spec
-        return engine.build(
-            Scenario(
-                name=spec.name,
-                cfg=spec.cfg,
-                defense=DefenseSpec(
-                    mitigated=spec.mitigated, mitigation=spec.mitigation
-                ),
-                seed=spec.seed,
-            )
-        )
-
-    # -- main loop -----------------------------------------------------------
     def run(self) -> CampaignReport:
         spec = self.spec
-        net = self._build_network()
-        manager = RecoveryManager(net)
+        scenario = spec.scenario
+        sim = Simulation(scenario)
+        net = sim.network
+        packets = sorted(
+            (p for traffic in scenario.traffic for p in traffic.packets),
+            key=lambda p: p.inject_at,
+        )
+        manager = RecoveryManager(net, [make_packet(p) for p in packets])
         validator = NetworkValidator(net)
-        watchdog: Optional[RetransWatchdog] = None
-        if spec.watchdog is not None:
-            watchdog = RetransWatchdog(spec.watchdog).attach(net)
+        watchdog = sim.watchdog
+        # finished epochs' networks and audits, folded into the report
+        retired: list[Network] = []
+        audits: list[ValidationReport] = []
 
-        for event in spec.events:
-            event.prepare(net)
-
-        traffic = sorted(spec.traffic, key=lambda item: item[0])
-        next_offer = 0
-        started: set[int] = set()
-        stopped: set[int] = set()
         # resubmission bookkeeping: alias -> ledger original, and the
         # latest live attempt per original (stale drop notices ignored)
         family: dict[int, int] = {}
         latest: dict[int, int] = {}
         resubmit_count: dict[int, int] = {}
 
-        accum = {name: 0 for name in _ACCUM_COUNTERS}
-        accum_corrupted = 0
-        checks_done = 0
-        violations: list[str] = []
         condemned_all: list[LinkKey] = []
         recovery_cycles: list[int] = []
-        epochs = 1
         deadlocked = False
         last_progress_cycle = net.cycle
         progress_sig: tuple = ()
 
+        windows = [_window(s) for _, s in _faults(scenario)]
         horizon = max(
-            [offer for offer, _ in traffic]
-            + [e.end or e.at for e in spec.events]
+            [p.inject_at for p in packets]
+            + [end or onset for onset, end in windows]
             + [0]
         )
-        end_cycle = net.cycle + spec.max_cycles
+        end_cycle = net.cycle + scenario.max_cycles
 
         while net.cycle < end_cycle:
             cycle = net.cycle
-
-            # offer due traffic through the ledger
-            while next_offer < len(traffic) and traffic[next_offer][0] <= cycle:
-                manager.offer(traffic[next_offer][1])
-                next_offer += 1
-
-            # fire due fault events (catch-up across epoch jumps)
-            for idx, event in enumerate(spec.events):
-                if idx not in started and event.at <= cycle:
-                    event.start(net, cycle)
-                    started.add(idx)
-                end = event.end
-                if (
-                    idx in started
-                    and idx not in stopped
-                    and end is not None
-                    and end <= cycle
-                ):
-                    event.stop(net, cycle)
-                    stopped.add(idx)
-
-            net.step()
+            sim.step()
 
             if spec.validate_every and cycle % spec.validate_every == 0:
                 validator.check(raise_on_violation=False)
@@ -394,18 +392,12 @@ class ChaosCampaign:
                     except UnroutableError:
                         # cannot reroute around this set; carry on in
                         # the degraded epoch
-                        net = old
+                        pass
                     else:
-                        epochs += 1
+                        sim.network = net
+                        retired.append(old)
                         recovery_cycles.append(net.cycle)
-                        for name in _ACCUM_COUNTERS:
-                            accum[name] += getattr(old.stats, name)
-                        accum_corrupted += sum(
-                            link.corrupted_traversals
-                            for link in old.links.values()
-                        )
-                        violations.extend(validator.report.violations)
-                        checks_done += validator.report.checks
+                        audits.append(validator.report)
                         validator = NetworkValidator(net)
                         watchdog.attach(net)
                         # the new epoch restarts every undelivered
@@ -423,7 +415,7 @@ class ChaosCampaign:
             sig = (
                 net.stats.flits_ejected,
                 net.stats.dropped_flits,
-                epochs,
+                len(retired),
                 watchdog.activity if watchdog is not None else 0,
             )
             if sig != progress_sig:
@@ -434,27 +426,25 @@ class ChaosCampaign:
                 break
 
             # early exit once the schedule is exhausted and all is quiet
+            # (a drained network has emitted all of its traffic)
             if (
-                next_offer >= len(traffic)
-                and cycle > horizon
+                cycle > horizon
                 and net.drained
                 and not manager.undelivered()
             ):
                 break
 
         validator.check(raise_on_violation=False)
-        violations.extend(validator.report.violations)
-        checks_done += validator.report.checks
+        audits.append(validator.report)
+        epochs = [*retired, net]
         undelivered = manager.undelivered()
-        epoch_resubmissions = sum(
-            r.packets_resubmitted for r in manager.reports
-        )
+        transient = len(scenario.faults)
 
         report = CampaignReport(
-            name=spec.name,
-            seed=spec.seed,
+            name=scenario.name,
+            seed=scenario.seed,
             cycles=net.cycle,
-            epochs=epochs,
+            epochs=len(epochs),
             deadlocked=deadlocked,
             drained=net.drained,
             watchdog_enabled=watchdog is not None,
@@ -462,14 +452,12 @@ class ChaosCampaign:
             packets_delivered=manager.delivered,
             packets_failed=len(undelivered),
             duplicate_deliveries=manager.duplicate_deliveries(),
-            resubmissions=accum["packets_resubmitted"]
-            + net.stats.packets_resubmitted
-            + epoch_resubmissions,
+            resubmissions=sum(n.stats.packets_resubmitted for n in epochs)
+            + sum(r.packets_resubmitted for r in manager.reports),
             packets_dropped=(
                 watchdog.packets_dropped if watchdog is not None else 0
             ),
-            flits_degraded=accum["degraded_flits"]
-            + net.stats.degraded_flits,
+            flits_degraded=sum(n.stats.degraded_flits for n in epochs),
             backoffs=(
                 watchdog.backoffs_applied if watchdog is not None else 0
             ),
@@ -482,23 +470,162 @@ class ChaosCampaign:
                 watchdog.stages_taken() if watchdog is not None else ()
             ),
             first_fault_cycle=(
-                min(e.at for e in spec.events) if spec.events else None
+                min(onset for onset, _ in windows) if windows else None
             ),
             first_escalation_cycle=(
                 watchdog.first_event_cycle if watchdog is not None else None
             ),
-            faults_injected=sum(
-                e.faults_injected() for e in spec.events
+            faults_injected=sum(t.faults_injected for t in sim.trojans)
+            + sum(a.events for a in sim.attacks)
+            + sum(m.events for m in sim.faults[:transient])
+            + sum(m.activations for m in sim.faults[transient:]),
+            corrupted_traversals=sum(
+                link.corrupted_traversals
+                for n in epochs
+                for link in n.links.values()
             ),
-            corrupted_traversals=accum_corrupted
-            + sum(link.corrupted_traversals for link in net.links.values()),
-            invariant_checks=checks_done,
-            violations=tuple(violations),
+            invariant_checks=sum(audit.checks for audit in audits),
+            violations=tuple(v for audit in audits for v in audit.violations),
         )
-        import dataclasses
-
+        if sim.obs is not None:
+            # close this run's series window so the next simulation
+            # observed by the same (ambient) bundle may start at cycle 0
+            sim.obs.finalize(sim)
         from repro.obs.collectors import campaign_metrics
 
         return dataclasses.replace(
             report, metrics=campaign_metrics(report)
         )
+
+
+# -- campaign scenarios ----------------------------------------------------
+
+def targeted_stream(
+    cfg: NoCConfig,
+    src_core: int,
+    dst_core: int,
+    count: int,
+    start: int = 0,
+    interval: int = 6,
+    payload_flits: int = 3,
+    base_id: int = 0,
+    seed: int = 0,
+) -> tuple[PacketSpec, ...]:
+    """A steady victim flow from one core to another."""
+    stream = SeededStream(seed, "targeted", src_core, dst_core)
+    return tuple(
+        PacketSpec(
+            pkt_id=base_id + i,
+            src_core=src_core,
+            dst_core=dst_core,
+            inject_at=start + i * interval,
+            payload=tuple(stream.bits(60) for _ in range(payload_flits)),
+        )
+        for i in range(count)
+    )
+
+
+def uniform_traffic(
+    cfg: NoCConfig,
+    seed: int,
+    count: int,
+    start: int = 0,
+    interval: int = 3,
+    payload_flits: int = 3,
+    base_id: int = 10_000,
+) -> tuple[PacketSpec, ...]:
+    """Uniform-random background pairs (src != dst)."""
+    stream = SeededStream(seed, "uniform-traffic")
+    schedule = []
+    for i in range(count):
+        src = stream.randint(0, cfg.num_cores - 1)
+        dst = stream.randint(0, cfg.num_cores - 1)
+        while dst == src:
+            dst = stream.randint(0, cfg.num_cores - 1)
+        schedule.append(
+            PacketSpec(
+                pkt_id=base_id + i,
+                src_core=src,
+                dst_core=dst,
+                inject_at=start + i * interval,
+                payload=tuple(stream.bits(60) for _ in range(payload_flits)),
+            )
+        )
+    return tuple(schedule)
+
+
+def random_events(
+    cfg: NoCConfig,
+    seed: int,
+    *,
+    horizon: int = 400,
+    max_events: int = 4,
+) -> dict[str, tuple]:
+    """A seeded composition of transient bursts, stuck-at onsets,
+    trojan activations and link kills on a couple of links — the
+    fuzz-campaign generator.
+
+    Returns the ``trojans``, ``faults`` and ``wire_faults`` fields of a
+    :class:`Scenario`, each in onset order.
+    """
+    stream = SeededStream(seed, "random-scenario")
+    links = all_links(cfg)
+    stream.shuffle(links)
+    victims = links[: max(1, min(2, len(links)))]
+    events: list[tuple[int, object]] = []
+    count = stream.randint(2, max_events)
+    for i in range(count):
+        link = victims[stream.randint(0, len(victims) - 1)]
+        onset = stream.randint(10, horizon // 2)
+        kind = stream.weighted_choice(
+            [0, 1, 2, 3], [0.35, 0.3, 0.25, 0.1]
+        )
+        if kind == 0:
+            duration = stream.randint(40, horizon // 2)
+            spec = TransientFaultSpec(
+                link=link,
+                rate=0.01 + 0.04 * stream.random(),
+                double_fraction=0.2 + 0.3 * stream.random(),
+                seed=seed * 1000 + i,
+                labels=("burst", link[0], link[1].name, onset),
+                enable_at=onset,
+                disable_at=onset + duration,
+            )
+        elif kind == 1:
+            spec = StuckAtSpec(
+                link=link,
+                at=onset,
+                positions=(stream.randint(0, SECDED_72_64.codeword_bits - 1),),
+                value=(
+                    StuckAtKind.ONE if stream.chance(0.5) else StuckAtKind.ZERO
+                ),
+            )
+        elif kind == 2:
+            dst_router = stream.randint(0, cfg.num_routers - 1)
+            # a fifth of trojans never deassert their kill switch
+            duration = (
+                None
+                if stream.chance(0.2)
+                else stream.randint(60, horizon // 2)
+            )
+            spec = TrojanSpec(
+                link=link,
+                target=TargetSpec.for_dest(dst_router),
+                config=dataclasses.replace(TaspConfig(), seed=seed + i),
+                enabled=False,
+                enable_at=onset,
+                disable_at=None if duration is None else onset + duration,
+            )
+        else:
+            spec = LinkKillSpec(link=link, at=onset)
+        events.append((onset, spec))
+    events.sort(key=lambda event: event[0])
+    fields = {
+        "trojans": TrojanSpec,
+        "faults": TransientFaultSpec,
+        "wire_faults": (StuckAtSpec, LinkKillSpec),
+    }
+    return {
+        name: tuple(spec for _, spec in events if isinstance(spec, cls))
+        for name, cls in fields.items()
+    }

@@ -26,7 +26,12 @@ from repro.baselines.reroute import disable_both_ways, updown_table
 from repro.baselines.tdm import TdmConfig, TdmPolicy
 from repro.core.mitigation import build_mitigated_network
 from repro.core.tasp import TaspTrojan
-from repro.faults.models import GrayholeAttack, TransientFaultModel
+from repro.faults.models import (
+    GrayholeAttack,
+    LinkKillFault,
+    PermanentFault,
+    TransientFaultModel,
+)
 from repro.noc.flit import Packet, layout_for
 from repro.noc.network import Network, TrafficSource
 from repro.obs import profiler as obs_profiler
@@ -40,6 +45,8 @@ from repro.sim.scenario import (
     AppTraffic,
     ExplicitTraffic,
     FloodTraffic,
+    LinkKillSpec,
+    PacketSpec,
     Scenario,
     SyntheticTraffic,
     TrojanSpec,
@@ -73,46 +80,51 @@ def _resolve_engine(
     return mode
 
 
+def make_packet(spec: PacketSpec, created_cycle: int = 0) -> Packet:
+    """The live :class:`Packet` a :class:`PacketSpec` describes."""
+    return Packet(
+        pkt_id=spec.pkt_id,
+        src_core=spec.src_core,
+        dst_core=spec.dst_core,
+        vc_class=spec.vc_class,
+        mem_addr=spec.mem_addr,
+        payload=list(spec.payload),
+        created_cycle=created_cycle,
+        domain=spec.domain,
+    )
+
+
 class ScheduledSource(TrafficSource):
-    """Replays an :class:`ExplicitTraffic` packet schedule."""
+    """Replays an :class:`ExplicitTraffic` packet schedule.
+
+    Each call emits every packet due at or before the current cycle,
+    so packets scheduled inside a clock jump (an epoch change's drain
+    and reconfiguration) are offered right after it.
+    """
 
     def __init__(self, spec: ExplicitTraffic):
         self._by_cycle: dict[int, list] = {}
-        self._remaining = len(spec.packets)
-        self._last_cycle = 0
         for p in spec.packets:
             self._by_cycle.setdefault(p.inject_at, []).append(p)
-            self._last_cycle = max(self._last_cycle, p.inject_at)
+        #: scheduled cycles, latest first, so the due ones pop off the end
+        self._due = sorted(self._by_cycle, reverse=True)
 
     def generate(self, cycle: int) -> list[Packet]:
-        specs = self._by_cycle.pop(cycle, None)
-        if not specs:
-            return []
-        self._remaining -= len(specs)
-        return [
-            Packet(
-                pkt_id=p.pkt_id,
-                src_core=p.src_core,
-                dst_core=p.dst_core,
-                vc_class=p.vc_class,
-                mem_addr=p.mem_addr,
-                payload=list(p.payload),
-                created_cycle=cycle,
-                domain=p.domain,
-            )
-            for p in specs
-        ]
+        due = self._due
+        packets = []
+        while due and due[-1] <= cycle:
+            for p in self._by_cycle.pop(due.pop()):
+                packets.append(make_packet(p, cycle))
+        return packets
 
     def done(self, cycle: int) -> bool:
-        return self._remaining == 0
+        return not self._due
 
     def next_active_cycle(self, cycle: int) -> Optional[int]:
-        """Next scheduled injection at or after ``cycle`` (stale
-        past-due entries are ignored — the sweep engine never emits
-        them either, it just times out at the drain budget)."""
-        upcoming = [at for at in self._by_cycle if at >= cycle]
-        if upcoming:
-            return min(upcoming)
+        """Next cycle with a packet to emit (``cycle`` itself while
+        any is past due)."""
+        if self._due:
+            return max(self._due[-1], cycle)
         return None
 
 
@@ -211,6 +223,9 @@ class Simulation:
     trojans:
         Live :class:`TaspTrojan` instances, in ``scenario.trojans``
         order.
+    attacks, faults:
+        Live gray-hole attacks, and live fault models for
+        ``scenario.faults`` then ``scenario.wire_faults``, in order.
     sources:
         One traffic source per ``scenario.traffic`` entry (they are
         merged onto the network when there is more than one).
@@ -264,22 +279,24 @@ class Simulation:
             disable_both_ways(net, defense.rerouted_links)
 
         self.network = net
-        self.trojans = attach_trojan_specs(net, scenario.trojans)
-        # (cycle, index, arm) triples: arm=True fires enable(), False
-        # fires disable() (the kill-switch withdrawal probation recovers
-        # from)
-        trojan_events: list[tuple[int, int, bool]] = []
-        for index, spec in enumerate(scenario.trojans):
-            if spec.enable_at is not None:
-                trojan_events.append((spec.enable_at, index, True))
-            if spec.disable_at is not None:
-                trojan_events.append((spec.disable_at, index, False))
-        self._pending_enables = sorted(trojan_events, reverse=True)
 
-        #: live gray-hole attack instances, in ``scenario.attacks`` order
+        # Every scheduled edge in one list of (cycle, order, wake token,
+        # action, args), latest first so the due ones pop off the end.
+        # A fault joins its link's tamper chain at its onset, so faults
+        # on one link stack in onset order.
+        edges: list = []
+
+        def schedule(cycle: Optional[int], token: str, action, *args):
+            if cycle is not None:
+                edges.append((cycle, len(edges), token, action, args))
+
+        self.trojans = attach_trojan_specs(net, scenario.trojans)
+        for spec, trojan in zip(scenario.trojans, self.trojans):
+            schedule(spec.enable_at, "trojan-enable", trojan.enable)
+            schedule(spec.disable_at, "trojan-disable", trojan.disable)
+
         self.attacks: list[GrayholeAttack] = []
-        attack_events: list[tuple[int, int, bool]] = []
-        for index, spec in enumerate(scenario.attacks):
+        for spec in scenario.attacks:
             attack = GrayholeAttack(
                 net.codec.codeword_bits,
                 spec.drop_probability,
@@ -290,22 +307,35 @@ class Simulation:
             )
             net.attach_tamperer(spec.link, attack)
             self.attacks.append(attack)
-            if spec.enable_at is not None:
-                attack_events.append((spec.enable_at, index, True))
-            if spec.disable_at is not None:
-                attack_events.append((spec.disable_at, index, False))
-        self._pending_attack_events = sorted(attack_events, reverse=True)
+            schedule(spec.enable_at, "attack-arm", attack.arm)
+            schedule(spec.disable_at, "attack-disarm", attack.disarm)
 
-        for fault in scenario.faults:
-            net.attach_tamperer(
-                fault.link,
-                TransientFaultModel(
-                    net.codec.codeword_bits,
-                    fault.rate,
-                    SeededStream(fault.seed, *fault.labels),
-                    double_fraction=fault.double_fraction,
-                ),
+        self.faults: list = []
+        width = net.codec.codeword_bits
+        for spec in scenario.faults:
+            model = TransientFaultModel(
+                width,
+                spec.rate,
+                SeededStream(spec.seed, *spec.labels),
+                double_fraction=spec.double_fraction,
             )
+            if spec.enable_at is None:
+                net.attach_tamperer(spec.link, model)
+            schedule(spec.enable_at, "fault-attach", self._attach,
+                     spec.link, model)
+            schedule(spec.disable_at, "fault-detach", self._detach,
+                     spec.link, model)
+            self.faults.append(model)
+        for spec in scenario.wire_faults:
+            if isinstance(spec, LinkKillSpec):
+                model = LinkKillFault(width)
+            else:
+                model = PermanentFault(
+                    width, {pos: spec.value for pos in spec.positions}
+                )
+            schedule(spec.at, "fault-attach", self._attach, spec.link, model)
+            self.faults.append(model)
+        self._edges = sorted(edges, reverse=True)
 
         self.sources = [
             _make_source(cfg, spec) for spec in scenario.traffic
@@ -476,24 +506,21 @@ class Simulation:
         ) * interval
 
     # -- stepping --------------------------------------------------------
-    def _fire_enables(self) -> None:
+    def _attach(self, link, model) -> None:
+        self.network.attach_tamperer(link, model)
+
+    def _detach(self, link, model) -> None:
+        self.network.links[link].tamperers.remove(model)
+
+    def _fire_edges(self) -> None:
+        edges = self._edges
         cycle = self.network.cycle
-        while self._pending_enables and self._pending_enables[-1][0] <= cycle:
-            _, index, arm = self._pending_enables.pop()
-            if arm:
-                self.trojans[index].enable()
-            else:
-                self.trojans[index].disable()
-        pending = self._pending_attack_events
-        while pending and pending[-1][0] <= cycle:
-            _, index, arm = pending.pop()
-            if arm:
-                self.attacks[index].arm()
-            else:
-                self.attacks[index].disarm()
+        while edges and edges[-1][0] <= cycle:
+            _, _, _, action, args = edges.pop()
+            action(*args)
 
     def step(self) -> None:
-        self._fire_enables()
+        self._fire_edges()
         self.network.step()
         if self._ckpt_next is not None:
             self._maybe_checkpoint()
@@ -504,7 +531,7 @@ class Simulation:
 
     def advance_to(self, cycle: int) -> None:
         """Step until the network clock reaches ``cycle``, firing any
-        scheduled trojan enables on the way.  In event mode, cycles no
+        scheduled edges on the way.  In event mode, cycles no
         component claims are skipped without stepping (byte-identical
         results — see :mod:`repro.sim.sched`)."""
         if self.event_core is not None:
@@ -512,7 +539,7 @@ class Simulation:
             return
         while self.network.cycle < cycle:
             self.step()
-        self._fire_enables()
+        self._fire_edges()
 
     def run_until_drained(
         self, max_cycles: int, stall_limit: Optional[int] = None

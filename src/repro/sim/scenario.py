@@ -35,6 +35,7 @@ from typing import Optional, Union
 from repro.core.mitigation import MitigationConfig
 from repro.core.targets import TargetSpec
 from repro.core.tasp import TaspConfig
+from repro.faults.models import StuckAtKind
 from repro.noc.config import NoCConfig, PAPER_CONFIG
 from repro.noc.topology import LinkKey
 from repro.resilience.containment import ContainmentConfig, ProbationConfig
@@ -133,18 +134,19 @@ class ExplicitTraffic:
 
 TrafficSpec = Union[SyntheticTraffic, AppTraffic, FloodTraffic, ExplicitTraffic]
 
-_TRAFFIC_KINDS = {
-    "synthetic": SyntheticTraffic,
-    "app": AppTraffic,
-    "flood": FloodTraffic,
-    "explicit": ExplicitTraffic,
-}
-_KIND_OF_TRAFFIC = {cls: kind for kind, cls in _TRAFFIC_KINDS.items()}
-
 
 # ---------------------------------------------------------------------------
 # attack and fault specs
 # ---------------------------------------------------------------------------
+def _check_window(enable_at: Optional[int], disable_at: Optional[int]) -> None:
+    if (
+        disable_at is not None
+        and enable_at is not None
+        and disable_at <= enable_at
+    ):
+        raise ValueError("disable_at must come after enable_at")
+
+
 @dataclass(frozen=True)
 class TrojanSpec:
     """One TASP instance soldered into a link.
@@ -165,12 +167,7 @@ class TrojanSpec:
     disable_at: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if (
-            self.disable_at is not None
-            and self.enable_at is not None
-            and self.disable_at <= self.enable_at
-        ):
-            raise ValueError("disable_at must come after enable_at")
+        _check_window(self.enable_at, self.disable_at)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,11 @@ class TransientFaultSpec:
 
     ``labels`` are the ``SeededStream`` namespace labels the fault
     model's RNG is derived from — carried verbatim so a scenario
-    reproduces the exact fault sequence of the hand-wired experiments.
+    reproduces the exact fault sequence of the hand-wired experiments;
+    they must be plain JSON values to survive a round trip.
+    ``enable_at`` / ``disable_at`` make it a burst: the process joins
+    the link's tamper chain at ``enable_at`` and leaves it at
+    ``disable_at`` (None = from build / for good).
     """
 
     link: LinkKey
@@ -187,6 +188,47 @@ class TransientFaultSpec:
     double_fraction: float = 0.0
     seed: int = 0
     labels: tuple = ()
+    enable_at: Optional[int] = None
+    disable_at: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        _check_window(self.enable_at, self.disable_at)
+
+
+@dataclass(frozen=True)
+class StuckAtSpec:
+    """Wires of one link fail stuck-at ``value`` from cycle ``at`` on,
+    for good (:class:`repro.faults.models.PermanentFault`)."""
+
+    link: LinkKey
+    at: int = 0
+    positions: tuple[int, ...] = (5,)
+    value: StuckAtKind = StuckAtKind.ZERO
+
+
+@dataclass(frozen=True)
+class LinkKillSpec:
+    """Catastrophic link failure from cycle ``at`` on: every traversal
+    takes an uncorrectable double-bit hit that no obfuscation dodges
+    (:class:`repro.faults.models.LinkKillFault`)."""
+
+    link: LinkKey
+    at: int = 0
+
+
+WireFaultSpec = Union[StuckAtSpec, LinkKillSpec]
+
+#: the ``kind`` tag of each union member; a member therefore must not
+#: have a field named ``kind`` itself
+_KINDS = {
+    "synthetic": SyntheticTraffic,
+    "app": AppTraffic,
+    "flood": FloodTraffic,
+    "explicit": ExplicitTraffic,
+    "stuck-at": StuckAtSpec,
+    "link-kill": LinkKillSpec,
+}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -206,6 +248,9 @@ class DropAttackSpec:
     enable_at: Optional[int] = None
     disable_at: Optional[int] = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_window(self.enable_at, self.disable_at)
 
 
 def trojan_specs(
@@ -342,6 +387,8 @@ class Scenario:
     #: scheduled packet-drop attacks on the recovery path
     attacks: tuple[DropAttackSpec, ...] = ()
     faults: tuple[TransientFaultSpec, ...] = ()
+    #: stuck-at onsets and link kills
+    wire_faults: tuple[WireFaultSpec, ...] = ()
     defense: DefenseSpec = DefenseSpec()
     #: run exactly this many cycles (None = run until drained)
     duration: Optional[int] = None
@@ -406,6 +453,10 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: the Scenario fields that hold injected attacks and faults
+FAULT_FIELDS = ("trojans", "attacks", "faults", "wire_faults")
+
+
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------
@@ -417,11 +468,14 @@ _LATE_FIELDS = {
     (NoCConfig, "topology"): True,
     (NoCConfig, "express_interval"): True,
     (TrojanSpec, "disable_at"): True,
+    (TransientFaultSpec, "enable_at"): True,
+    (TransientFaultSpec, "disable_at"): True,
     (DefenseSpec, "containment"): True,
     (DefenseSpec, "probation"): True,
     (DefenseSpec, "detector"): True,
     (DefenseSpec, "localizer"): True,
     (Scenario, "attacks"): True,
+    (Scenario, "wire_faults"): True,
     (Scenario, "engine"): True,
     # always encoded, as null when unset
     (Scenario, "sentinel"): False,
@@ -435,15 +489,15 @@ _SCALARS = (int, float, str, bool, type(None))
 
 def _encode(value):
     """JSON-native form: dataclasses become objects of their fields
-    (traffic specs tagged with their ``kind``), enums their names,
+    (union members tagged with their ``kind``), enums their names,
     tuples lists."""
     if type(value) in _SCALARS:  # an exact match: Direction is an IntEnum
         return value
     if dataclasses.is_dataclass(value):
         cls = type(value)
         out = {}
-        if cls in _KIND_OF_TRAFFIC:
-            out["kind"] = _KIND_OF_TRAFFIC[cls]
+        if cls in _KIND_OF:
+            out["kind"] = _KIND_OF[cls]
         for f in dataclasses.fields(cls):
             item = _encode(getattr(value, f.name))
             if _LATE_FIELDS.get((cls, f.name)) and item == _encode(f.default):
@@ -468,9 +522,9 @@ def _decode(tp, data, where: str):
         if type(None) in options:  # Optional[X]
             return None if data is None else _decode(options[0], data, where)
         kind = _field(data, "kind", where)
-        tp = _TRAFFIC_KINDS.get(kind)
+        tp = _KINDS.get(kind)
         if tp not in options:
-            known = ", ".join(sorted(_TRAFFIC_KINDS))
+            known = ", ".join(sorted(_KIND_OF[cls] for cls in options))
             raise ScenarioDecodeError(
                 f"{where}: unknown kind {kind!r} (known kinds: {known})"
             )

@@ -167,14 +167,11 @@ class EventCore:
         self.leaps = 0
         #: skip decisions taken (landings + leaps)
         self.decisions = 0
-        # Statically known wakes: scheduled trojan enables and attack
-        # arm/disarm edges self-schedule at build time.
-        for at, _index, arm in sim._pending_enables:
-            self.wheel.schedule(
-                at, "trojan-enable" if arm else "trojan-disable"
-            )
-        for at, _index, arm in sim._pending_attack_events:
-            self.wheel.schedule(at, "attack-arm" if arm else "attack-disarm")
+        # Statically known wakes: every scheduled edge (trojan
+        # enable/disable, attack arm/disarm, fault attach/detach)
+        # self-schedules at build time.
+        for at, _order, token, _action, _args in sim._edges:
+            self.wheel.schedule(at, token)
 
     # -- the skip decision ------------------------------------------------
     def _next_due(self, bound: int, stall: Optional[int] = None) -> int:
@@ -288,7 +285,7 @@ class EventCore:
                 break
             self._retire_wakes()
             sim.step()
-        sim._fire_enables()
+        sim._fire_edges()
 
     def run_until_drained(
         self, max_cycles: int, stall_limit: Optional[int] = None

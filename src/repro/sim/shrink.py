@@ -3,13 +3,13 @@
 A repro bundle answers "*what* happened"; the shrinker answers "*what
 caused it*".  Given a failing :class:`~repro.sim.scenario.Scenario`
 (usually from a bundle), it greedily removes whole traffic flows,
-trojans and transient-fault processes, simplifies trojan
-enable schedules, delta-debugs individual packets out of explicit
-schedules, and bisects the cycle horizon — re-running the engine after
-each candidate edit and keeping only edits under which the run still
-fails **with the same failure signature**.  The result is 1-minimal:
-removing any single remaining flow, trojan or fault makes the scenario
-pass.
+trojans, gray-hole attacks, transient-fault processes and wire faults,
+simplifies trojan enable schedules, delta-debugs individual packets out
+of explicit schedules, and bisects the cycle horizon — re-running the
+engine after each candidate edit and keeping only edits under which
+the run still fails **with the same failure signature**.  The result
+is 1-minimal: removing any single remaining flow, trojan, attack or
+fault makes the scenario pass.
 
 Every engine run is memoized on the candidate's content hash and
 counted against a hard ``max_runs`` budget, so shrinking terminates in
@@ -35,7 +35,10 @@ from repro.sim.forensics import (
     failure_signature,
     load_bundle,
 )
-from repro.sim.scenario import ExplicitTraffic, Scenario
+from repro.sim.scenario import FAULT_FIELDS, ExplicitTraffic, Scenario
+
+#: the Scenario fields whose entries the shrinker removes one by one
+_SHRINK_FIELDS = ("traffic", *FAULT_FIELDS)
 
 
 class ShrinkError(RuntimeError):
@@ -238,7 +241,7 @@ class ShrinkResult:
             f"engine runs: {self.runs}"
             + (" (budget exhausted)" if self.budget_exhausted else ""),
         ]
-        for field_name in ("traffic", "trojans", "faults"):
+        for field_name in _SHRINK_FIELDS:
             before = list(getattr(self.original, field_name))
             after = list(getattr(self.shrunk, field_name))
             lines.append(
@@ -304,7 +307,7 @@ def shrink_scenario(
         # even when they remove nothing
         while previous != current:
             previous = current
-            for field_name in ("traffic", "trojans", "faults"):
+            for field_name in _SHRINK_FIELDS:
                 current = _shrink_field(current, field_name, oracle)
             current = _shrink_enable_schedule(current, oracle)
             current = _shrink_packets(current, oracle)
@@ -384,7 +387,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--assert-max-attacks", type=int, default=None, metavar="N",
-        help="exit 1 unless trojans + faults <= N after shrinking",
+        help="exit 1 unless trojans + attacks + faults + wire faults "
+        "<= N after shrinking",
     )
     args = parser.parse_args(argv)
 
@@ -398,7 +402,7 @@ def main(argv=None) -> int:
 
     ok = True
     flows = len(result.shrunk.traffic)
-    attacks = len(result.shrunk.trojans) + len(result.shrunk.faults)
+    attacks = sum(len(getattr(result.shrunk, name)) for name in FAULT_FIELDS)
     if (
         args.assert_max_traffic is not None
         and flows > args.assert_max_traffic
@@ -413,7 +417,7 @@ def main(argv=None) -> int:
         and attacks > args.assert_max_attacks
     ):
         print(
-            f"ASSERTION FAILED: {attacks} trojans+faults remain "
+            f"ASSERTION FAILED: {attacks} trojans+attacks+faults remain "
             f"(allowed {args.assert_max_attacks})"
         )
         ok = False

@@ -10,40 +10,47 @@ from repro.noc.topology import Direction
 INFECTED = (0, Direction.EAST)
 
 
+def offered(net, packets):
+    """A manager whose ledger holds ``packets``, all offered to ``net``."""
+    manager = RecoveryManager(net, packets)
+    for packet in packets:
+        net.add_packet(packet)
+    return manager
+
+
 def attacked_manager(packets=15, payload=1):
     net = Network(PAPER_CONFIG)
     trojan = TaspTrojan(TargetSpec.for_dest(15))
     trojan.enable()
     net.attach_tamperer(INFECTED, trojan)
-    manager = RecoveryManager(net)
-    for pid in range(packets):
-        manager.offer(
-            Packet(pkt_id=pid, src_core=0, dst_core=63, vc_class=pid % 4,
-                   payload=[pid] * payload, created_cycle=0)
-        )
+    manager = offered(net, [
+        Packet(pkt_id=pid, src_core=0, dst_core=63, vc_class=pid % 4,
+               payload=[pid] * payload, created_cycle=0)
+        for pid in range(packets)
+    ])
     return manager, trojan
 
 
 class TestLedger:
     def test_offer_tracks_packets(self):
         net = Network(PAPER_CONFIG)
-        manager = RecoveryManager(net)
-        manager.offer(Packet(pkt_id=1, src_core=0, dst_core=4))
+        manager = offered(net, [Packet(pkt_id=1, src_core=0, dst_core=4)])
         assert len(manager.undelivered()) == 1
         net.run_until_drained(500)
         assert manager.undelivered() == []
         assert manager.delivered == 1
 
     def test_duplicate_pkt_id_rejected(self):
-        manager = RecoveryManager(Network(PAPER_CONFIG))
-        manager.offer(Packet(pkt_id=1, src_core=0, dst_core=4))
+        first = Packet(pkt_id=1, src_core=0, dst_core=4)
         with pytest.raises(ValueError):
-            manager.offer(Packet(pkt_id=1, src_core=0, dst_core=8))
+            RecoveryManager(
+                Network(PAPER_CONFIG),
+                [first, Packet(pkt_id=1, src_core=0, dst_core=8)],
+            )
 
     def test_ledger_copies_are_pristine(self):
-        manager = RecoveryManager(Network(PAPER_CONFIG))
         pkt = Packet(pkt_id=1, src_core=0, dst_core=4, payload=[7])
-        manager.offer(pkt)
+        manager = offered(Network(PAPER_CONFIG), [pkt])
         pkt.payload[0] = 99  # caller mutates after offering
         assert manager._ledger[1].payload == [7]
 
@@ -98,10 +105,10 @@ class TestRecoverySequence:
     def test_clean_network_recovery_is_cheap(self):
         # recovering a healthy network: drains fully, resubmits nothing
         net = Network(PAPER_CONFIG)
-        manager = RecoveryManager(net)
-        for pid in range(5):
-            manager.offer(Packet(pkt_id=pid, src_core=0, dst_core=63,
-                                 created_cycle=0))
+        manager = offered(net, [
+            Packet(pkt_id=pid, src_core=0, dst_core=63, created_cycle=0)
+            for pid in range(5)
+        ])
         manager.run_epoch(2000)
         manager.recover([(5, Direction.NORTH)])
         report = manager.reports[-1]

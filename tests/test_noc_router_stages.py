@@ -69,6 +69,27 @@ class TestRouteCompute:
         assert (vc.route_out, vc.rc_cycle) == first
 
 
+class TestHeaderNamingNoRouter:
+    """After header SDC a 3x3 mesh's 4-bit router fields can name
+    routers 9-15, which do not exist: the head ejects where it stands
+    and the endpoint counts the misdelivery."""
+
+    @pytest.mark.parametrize(
+        "routing, field", [("xy", "dst_router"), ("odd-even", "src_router")]
+    )
+    def test_ejected_as_one_misdelivery(self, routing, field):
+        cfg = NoCConfig(
+            mesh_width=3, mesh_height=3, concentration=1, routing=routing
+        )
+        net = Network(cfg)
+        net.add_packet(Packet(pkt_id=1, src_core=0, dst_core=8, payload=[7]))
+        head = net._backlogs[0][0]
+        assert head.is_head
+        setattr(head, field, 12)
+        assert net.run_until_drained(200)
+        assert net.stats.misdeliveries == 1
+
+
 class TestVcAllocation:
     def _routed_vc(self, router, cycle=1):
         vc = seat_flit(router, ("inj", 0), 0, head_flit(src=20, dst=28))

@@ -34,7 +34,7 @@ from repro.obs.instrument import (
     disable_ambient,
     enable_ambient,
 )
-from repro.resilience import (
+from repro.resilience.campaign import (
     CampaignSpec,
     ChaosCampaign,
     random_events,
@@ -410,15 +410,36 @@ class TestCampaignMetrics:
 
     def run_campaign(self):
         spec = CampaignSpec(
-            name="obs-fuzz",
-            cfg=self.FUZZ_CFG,
-            traffic=uniform_traffic(self.FUZZ_CFG, 5, 20, interval=4),
-            events=random_events(self.FUZZ_CFG, 5, horizon=200),
-            max_cycles=2000,
+            Scenario(
+                name="obs-fuzz",
+                cfg=self.FUZZ_CFG,
+                traffic=(
+                    ExplicitTraffic(
+                        uniform_traffic(self.FUZZ_CFG, 5, 20, interval=4)
+                    ),
+                ),
+                defense=DefenseSpec(mitigated=True, watchdog=WatchdogConfig()),
+                max_cycles=2000,
+                seed=5,
+                **random_events(self.FUZZ_CFG, 5, horizon=200),
+            ),
             validate_every=7,
-            seed=5,
         )
         return ChaosCampaign(spec).run()
+
+    def test_ambient_obs_observes_back_to_back_campaigns(self):
+        """Each campaign finalizes its run, so the next one observed by
+        the same bundle may start again at cycle 0; observing changes
+        no report."""
+        unobserved = self.run_campaign()
+        obs = enable_ambient(ObsConfig())
+        try:
+            first = self.run_campaign()
+            second = self.run_campaign()
+        finally:
+            disable_ambient()
+        assert first == second == unobserved
+        assert obs.runs == ["obs-fuzz", "obs-fuzz"]
 
     def test_reports_embed_deterministic_metrics(self):
         first = self.run_campaign()

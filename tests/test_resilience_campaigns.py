@@ -14,32 +14,44 @@ properties must hold for *every* seed:
   across resubmission aliases and epoch boundaries.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.noc.config import NoCConfig
-from repro.resilience import (
+from repro.resilience.campaign import (
     CampaignSpec,
     ChaosCampaign,
     random_events,
     uniform_traffic,
 )
+from repro.resilience.watchdog import WatchdogConfig
+from repro.sim.scenario import DefenseSpec, ExplicitTraffic, Scenario
 
 #: small mesh keeps the fuzz fast while still offering alternate routes
 FUZZ_CFG = NoCConfig(mesh_width=3, mesh_height=3, concentration=1)
 
-FUZZ_SEEDS = list(range(24))
+#: 311: three bit errors on one link made SECDED miscorrect a header
+#: into a router id the 3x3 mesh does not have
+FUZZ_SEEDS = list(range(24)) + [311]
+
+
+def fuzz_scenario(seed: int) -> Scenario:
+    return Scenario(
+        name=f"fuzz-{seed}",
+        cfg=FUZZ_CFG,
+        traffic=(
+            ExplicitTraffic(uniform_traffic(FUZZ_CFG, seed, 30, interval=4)),
+        ),
+        defense=DefenseSpec(mitigated=True, watchdog=WatchdogConfig()),
+        max_cycles=4000,
+        seed=seed,
+        **random_events(FUZZ_CFG, seed, horizon=300),
+    )
 
 
 def run_fuzz_campaign(seed: int):
-    spec = CampaignSpec(
-        name=f"fuzz-{seed}",
-        cfg=FUZZ_CFG,
-        traffic=uniform_traffic(FUZZ_CFG, seed, 30, interval=4),
-        events=random_events(FUZZ_CFG, seed, horizon=300),
-        max_cycles=4000,
-        validate_every=7,
-        seed=seed,
-    )
+    spec = CampaignSpec(fuzz_scenario(seed), validate_every=7)
     return ChaosCampaign(spec).run()
 
 
@@ -76,6 +88,40 @@ def test_fuzz_is_deterministic():
     assert first == second
 
 
+# -- campaign scenarios are ordinary scenarios -----------------------------
+def test_campaign_scenarios_round_trip():
+    """The chaos experiment's campaigns and fuzz seeds 0-63 decode to an
+    equal scenario with an equal content hash."""
+    from repro.experiments import chaos
+    from repro.sim.scenario import (
+        LinkKillSpec,
+        StuckAtSpec,
+        TransientFaultSpec,
+        TrojanSpec,
+    )
+
+    scenarios = [spec.scenario for spec in chaos.campaigns()]
+    scenarios += [fuzz_scenario(seed) for seed in range(64)]
+    kinds = {
+        type(spec)
+        for scenario in scenarios
+        for name in ("trojans", "faults", "wire_faults")
+        for spec in getattr(scenario, name)
+    }
+    assert kinds == {TrojanSpec, TransientFaultSpec, StuckAtSpec, LinkKillSpec}
+    for scenario in scenarios:
+        decoded = Scenario.from_json(scenario.to_json())
+        assert decoded == scenario
+        assert decoded.content_hash() == scenario.content_hash()
+
+
+def test_campaign_traffic_must_be_literal():
+    from repro.sim.scenario import SyntheticTraffic
+
+    with pytest.raises(ValueError, match="ExplicitTraffic"):
+        CampaignSpec(Scenario(traffic=(SyntheticTraffic(),)))
+
+
 # -- failure explanation ---------------------------------------------------
 def explain_spec(**overrides):
     """A tiny campaign that reliably deadlocks: an unmitigated,
@@ -83,25 +129,34 @@ def explain_spec(**overrides):
     correctable-noise decoy the explainer must rule out."""
     from repro.core.targets import TargetSpec
     from repro.noc.topology import Direction
-    from repro.resilience import (
-        TransientBurst,
-        TrojanActivation,
-        targeted_stream,
-    )
+    from repro.resilience.campaign import targeted_stream
+    from repro.sim.scenario import TransientFaultSpec, TrojanSpec
 
-    base = dict(
+    scenario = Scenario(
         name="explain-mini",
         cfg=FUZZ_CFG,
-        traffic=targeted_stream(FUZZ_CFG, 0, 2, 20, interval=4),
-        events=[
-            TrojanActivation(at=5, link=(0, Direction.EAST),
-                             target=TargetSpec.for_dest(2)),
-            TransientBurst(link=(3, Direction.EAST), at=10, duration=100,
-                           flip_probability=0.02, double_fraction=0.0),
-        ],
-        mitigated=False,
-        watchdog=None,
+        traffic=(
+            ExplicitTraffic(targeted_stream(FUZZ_CFG, 0, 2, 20, interval=4)),
+        ),
+        trojans=(
+            TrojanSpec(link=(0, Direction.EAST),
+                       target=TargetSpec.for_dest(2),
+                       enabled=False, enable_at=5),
+        ),
+        faults=(
+            TransientFaultSpec(link=(3, Direction.EAST), rate=0.02,
+                               labels=("burst", 3, "EAST", 10),
+                               enable_at=10, disable_at=110),
+        ),
         max_cycles=1500,
+    )
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    scenario = dataclasses.replace(
+        scenario,
+        **{k: overrides.pop(k) for k in list(overrides) if k in fields},
+    )
+    base = dict(
+        scenario=scenario,
         deadlock_window=250,
         explain_violations=True,
         explain_budget=16,
@@ -112,7 +167,7 @@ def explain_spec(**overrides):
 
 class TestFailureExplanation:
     def test_minimal_cause_names_only_the_trojan(self):
-        from repro.resilience import run_campaign
+        from repro.resilience.campaign import run_campaign
 
         report = run_campaign(explain_spec())
         assert report.deadlocked and report.failed
@@ -120,14 +175,14 @@ class TestFailureExplanation:
         assert "minimal cause: tasp@0-EAST" in report.summary()
 
     def test_surviving_run_explains_nothing(self):
-        from repro.resilience import run_campaign
+        from repro.resilience.campaign import run_campaign
 
-        report = run_campaign(explain_spec(events=[]))
+        report = run_campaign(explain_spec(trojans=(), faults=()))
         assert not report.failed
         assert report.minimal_events == ()
 
     def test_explanation_is_opt_in(self):
-        from repro.resilience import run_campaign
+        from repro.resilience.campaign import run_campaign
 
         report = run_campaign(explain_spec(explain_violations=False))
         assert report.deadlocked
@@ -142,8 +197,6 @@ class TestFailureExplanation:
         labels = minimal_explaining_events(spec, report, max_runs=16)
         assert labels == ("tasp@0-EAST",)
         # a passing report short-circuits without spending runs
-        import dataclasses
-
         passed = dataclasses.replace(
             report, deadlocked=False, violations=()
         )

@@ -15,15 +15,22 @@ from repro.core.targets import TargetSpec
 from repro.noc.config import PAPER_CONFIG
 from repro.noc.topology import Direction
 from repro.resilience import (
+    EscalationStage,
+    RetransWatchdog,
+    WatchdogConfig,
+)
+from repro.resilience.campaign import (
     CampaignSpec,
     ChaosCampaign,
-    EscalationStage,
-    LinkKill,
-    RetransWatchdog,
-    TrojanActivation,
-    WatchdogConfig,
     targeted_stream,
     uniform_traffic,
+)
+from repro.sim.scenario import (
+    DefenseSpec,
+    ExplicitTraffic,
+    LinkKillSpec,
+    Scenario,
+    TrojanSpec,
 )
 
 ATTACK_LINK = (0, Direction.EAST)
@@ -32,25 +39,33 @@ TARGET = TargetSpec.for_dest(15)
 
 def _victim_traffic(heavy=False):
     if heavy:
-        return targeted_stream(
+        packets = targeted_stream(
             PAPER_CONFIG, 0, 63, 40, interval=4
         ) + uniform_traffic(PAPER_CONFIG, 1, 60, interval=2)
-    return targeted_stream(
-        PAPER_CONFIG, 0, 63, 10, interval=10
-    ) + uniform_traffic(PAPER_CONFIG, 1, 24, interval=6)
+    else:
+        packets = targeted_stream(
+            PAPER_CONFIG, 0, 63, 10, interval=10
+        ) + uniform_traffic(PAPER_CONFIG, 1, 24, interval=6)
+    return (ExplicitTraffic(packets),)
+
+
+def _tasp(at):
+    return TrojanSpec(link=ATTACK_LINK, target=TARGET, enabled=False,
+                      enable_at=at)
 
 
 @pytest.fixture(scope="module")
 def ladder_report():
     spec = CampaignSpec(
-        name="ladder",
-        cfg=PAPER_CONFIG,
-        traffic=_victim_traffic(),
-        events=[
-            TrojanActivation(link=ATTACK_LINK, at=20, target=TARGET),
-            LinkKill(link=ATTACK_LINK, at=60),
-        ],
-        max_cycles=6000,
+        Scenario(
+            name="ladder",
+            cfg=PAPER_CONFIG,
+            traffic=_victim_traffic(),
+            trojans=(_tasp(20),),
+            wire_faults=(LinkKillSpec(link=ATTACK_LINK, at=60),),
+            defense=DefenseSpec(mitigated=True, watchdog=WatchdogConfig()),
+            max_cycles=6000,
+        )
     )
     return ChaosCampaign(spec).run()
 
@@ -58,13 +73,13 @@ def ladder_report():
 @pytest.fixture(scope="module")
 def deadlock_report():
     spec = CampaignSpec(
-        name="no-watchdog",
-        cfg=PAPER_CONFIG,
-        traffic=_victim_traffic(heavy=True),
-        events=[TrojanActivation(link=ATTACK_LINK, at=10, target=TARGET)],
-        mitigated=False,
-        watchdog=None,
-        max_cycles=2500,
+        Scenario(
+            name="no-watchdog",
+            cfg=PAPER_CONFIG,
+            traffic=_victim_traffic(heavy=True),
+            trojans=(_tasp(10),),
+            max_cycles=2500,
+        ),
         deadlock_window=400,
     )
     return ChaosCampaign(spec).run()
@@ -73,12 +88,14 @@ def deadlock_report():
 @pytest.fixture(scope="module")
 def bare_watchdog_report():
     spec = CampaignSpec(
-        name="bare-watchdog",
-        cfg=PAPER_CONFIG,
-        traffic=_victim_traffic(heavy=True),
-        events=[TrojanActivation(link=ATTACK_LINK, at=10, target=TARGET)],
-        mitigated=False,
-        max_cycles=8000,
+        Scenario(
+            name="bare-watchdog",
+            cfg=PAPER_CONFIG,
+            traffic=_victim_traffic(heavy=True),
+            trojans=(_tasp(10),),
+            defense=DefenseSpec(watchdog=WatchdogConfig()),
+            max_cycles=8000,
+        )
     )
     return ChaosCampaign(spec).run()
 

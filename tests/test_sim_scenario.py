@@ -12,6 +12,7 @@ from repro.core import (
     TargetSpec,
     TaspConfig,
 )
+from repro.faults.models import StuckAtKind
 from repro.noc.config import PAPER_CONFIG
 from repro.noc.topology import Direction
 from repro.resilience.containment import ContainmentConfig, ProbationConfig
@@ -32,6 +33,7 @@ from repro.sim import (
     TrojanSpec,
     trojan_specs,
 )
+from repro.sim.scenario import LinkKillSpec, StuckAtSpec
 
 
 def rich_scenario() -> Scenario:
@@ -391,6 +393,57 @@ class TestRecoveryBackCompat:
                        enable_at=200, disable_at=100)
 
 
+class TestFaultSchedules:
+    """Burst windows and wire faults are late fields: a scenario without
+    them keeps its bytes, one with them round-trips, and the wire
+    faults are tagged by ``kind``."""
+
+    def scheduled(self) -> Scenario:
+        return dataclasses.replace(
+            rich_scenario(),
+            faults=(
+                TransientFaultSpec(link=(1, Direction.NORTH), rate=0.1,
+                                   labels=("burst", 1, "NORTH", 40),
+                                   enable_at=40, disable_at=90),
+            ),
+            wire_faults=(
+                StuckAtSpec((2, Direction.EAST), at=30, positions=(3, 9),
+                            value=StuckAtKind.ONE),
+                LinkKillSpec((5, Direction.WEST), at=70),
+            ),
+        )
+
+    def test_round_trip(self):
+        s = self.scheduled()
+        decoded = Scenario.from_json(s.to_json())
+        assert decoded == s
+        assert decoded.content_hash() == s.content_hash()
+
+    def test_wire_faults_are_tagged_by_kind(self):
+        data = json.loads(self.scheduled().to_json())
+        wire = data["wire_faults"]
+        assert [w["kind"] for w in wire] == ["stuck-at", "link-kill"]
+        assert wire[0]["value"] == "ONE"
+
+    def test_unset_fields_never_reach_the_wire(self):
+        data = json.loads(rich_scenario().to_json())
+        assert "wire_faults" not in data
+        assert all(
+            "enable_at" not in f and "disable_at" not in f
+            for f in data["faults"]
+        )
+
+    def test_unknown_wire_fault_kind_names_the_known_kinds(self):
+        data = json.loads(self.scheduled().to_json())
+        data["wire_faults"][0]["kind"] = "meteor"
+        with pytest.raises(ScenarioDecodeError) as excinfo:
+            Scenario.from_dict(data)
+        assert str(excinfo.value) == (
+            "scenario.wire_faults[0]: unknown kind 'meteor' "
+            "(known kinds: link-kill, stuck-at)"
+        )
+
+
 class TestTopologyBackCompat:
     """The topology-layer fields (``NoCConfig.topology`` /
     ``.express_interval``, ``DefenseSpec.localizer``) are encoded only
@@ -599,3 +652,13 @@ class TestDecodeErrors:
         with pytest.raises(ScenarioDecodeError) as excinfo:
             Scenario.from_dict(data)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("field_name", ["trojans", "attacks", "faults"])
+    def test_window_ending_before_it_starts_is_rejected(self, field_name):
+        data = json.loads(rich_scenario().to_json())
+        data[field_name][0].update(enable_at=100, disable_at=50)
+        with pytest.raises(ScenarioDecodeError) as excinfo:
+            Scenario.from_dict(data)
+        assert str(excinfo.value) == (
+            f"scenario.{field_name}[0]: disable_at must come after enable_at"
+        )

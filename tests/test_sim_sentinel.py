@@ -130,7 +130,7 @@ class TestDetectors:
         assert trips["active"] == trips["full"]
 
     def test_deadlock_detector(self):
-        """Pausing every link freezes all movement with flits still
+        """Disabling every link freezes all movement with flits still
         in-network: the sentinel must call global deadlock."""
         packets = tuple(
             PacketSpec(pkt_id=i, src_core=0, dst_core=63,
@@ -151,7 +151,7 @@ class TestDetectors:
         stats = sim.network.stats
         assert stats.flits_injected > stats.flits_ejected
         for link in sim.network.links.values():
-            link.paused = True
+            link.disabled = True
         with pytest.raises(SentinelTrip) as excinfo:
             for _ in range(500):
                 sim.step()

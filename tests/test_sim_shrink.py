@@ -121,6 +121,32 @@ class TestShrinkScenario:
         assert "removed" in diff and "kept" in diff
         assert "max_cycles:" in diff
 
+    def test_removes_an_unrelated_attack(self):
+        """A gray-hole off the victim's path is not part of the planted
+        core: the shrink removes it and says so."""
+        from repro.noc.topology import Direction
+        from repro.sim import DropAttackSpec
+
+        scenario = dataclasses.replace(
+            planted_deadlock_scenario(),
+            attacks=(DropAttackSpec(link=(10, Direction.NORTH)),),
+        )
+        result = shrink_scenario(scenario)
+        assert result.shrunk.attacks == ()
+        assert "removed DropAttackSpec on link (10, NORTH)" in result.diff()
+
+    def test_removes_an_unrelated_wire_fault(self):
+        from repro.noc.topology import Direction
+        from repro.sim.scenario import LinkKillSpec
+
+        scenario = dataclasses.replace(
+            planted_deadlock_scenario(),
+            wire_faults=(LinkKillSpec(link=(10, Direction.NORTH), at=20),),
+        )
+        result = shrink_scenario(scenario)
+        assert result.shrunk.wire_faults == ()
+        assert "removed LinkKillSpec on link (10, NORTH)" in result.diff()
+
     def test_budget_exhaustion_keeps_a_failing_scenario(self):
         result = shrink_scenario(planted_deadlock_scenario(), max_runs=3)
         assert result.budget_exhausted
