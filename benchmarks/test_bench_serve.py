@@ -1,6 +1,6 @@
-"""Streaming detection service: verdict latency + observer overhead.
+"""Verdict pipeline: verdict latency + observer overhead.
 
-Two records pin the serving layer's cost model:
+Two records pin the cost model of :func:`run_streaming`:
 
 * **verdict latency** — cycles from trojan activation to each streamed
   verdict (p50/p95, nearest-rank).  Latency is quantized by the
@@ -11,7 +11,7 @@ Two records pin the serving layer's cost model:
   (feature folding + classifiers) against the identical run carrying
   only the event instrumentation it consumes, interleaved round-robin.
   The bus's own cost against a bare run is ``BENCH_obs.json``'s
-  number (that is the baseline the serving layer builds on); this
+  number (that is the baseline the pipeline builds on); this
   bench pins what the *analytics* add on top of the bus at under 5%.
   The streamed result is asserted byte-identical to a bare run (pure
   observer) before any timing is trusted.
@@ -125,7 +125,7 @@ def test_bench_serve_verdict_latency(record_samples, bench_meta):
 
 
 def _instrumented_run():
-    """The serving layer's baseline: the identical run carrying the
+    """The pipeline's baseline: the identical run carrying the
     events-only bundle :func:`run_streaming` itself builds, with no
     pipeline consuming it."""
     obs = Observability(

@@ -5,8 +5,7 @@ correction, double-error detection) codes: one flipped bit is silently
 corrected, two flipped bits are *detected but uncorrectable* and force a
 retransmission.  :class:`repro.ecc.hamming.Secded` implements a
 bit-accurate extended Hamming SECDED(72,64) codec so the trojan's 2-bit
-payloads interact with the link exactly as in hardware.  The numpy
-codec for analysis, :mod:`repro.ecc.batch`, is imported on its own.
+payloads interact with the link exactly as in hardware.
 """
 
 from repro.ecc.hamming import (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.baselines.reroute import UnroutableError, updown_table
@@ -96,30 +95,6 @@ def attach_trojans(
     return attach_trojan_specs(
         network,
         trojan_specs(links, target, config=config, enabled=enabled),
-    )
-
-
-@dataclass(frozen=True)
-class CompletionResult:
-    """Outcome of draining a fixed workload."""
-
-    completed: bool
-    cycles: int
-    packets_completed: int
-    packets_injected: int
-    mean_latency: Optional[float]
-
-
-def run_to_completion(
-    network: Network, max_cycles: int, stall_limit: int = 2000
-) -> CompletionResult:
-    done = network.run_until_drained(max_cycles, stall_limit=stall_limit)
-    return CompletionResult(
-        completed=done,
-        cycles=network.cycle,
-        packets_completed=network.stats.packets_completed,
-        packets_injected=network.stats.packets_injected,
-        mean_latency=network.stats.mean_total_latency(),
     )
 
 

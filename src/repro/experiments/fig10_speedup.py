@@ -33,7 +33,7 @@ from repro.traffic.apps import PROFILES
 DEFAULT_APPS = ("blackscholes", "facesim", "ferret", "fft")
 DEFAULT_FRACTIONS = (0.0, 0.05, 0.10, 0.15)
 
-#: drain stall limit (matches the historical run_to_completion default)
+#: drain stall limit (cycles without a delivery before a run is aborted)
 STALL_LIMIT = 2000
 
 

@@ -186,8 +186,9 @@ def run_experiment(
                 )
             )
             # streaming detection riding the same bus: the z-score
-            # classifier (topology not known here, channels first-seen)
-            # folds the event stream into the embedded verdict_stream
+            # classifier (no scenario here; a link's channel is
+            # back-filled when first seen) folds the event stream into
+            # the embedded verdict_stream
             pipeline = DetectionPipeline([ZScoreClassifier()]).attach(obs)
         try:
             result = module.run(**_seed_kwargs(module, seed))

@@ -399,12 +399,19 @@ class Observability:
             self.series = WindowedSeries(self.config.window, agg="max")
         #: scenario names attached so far, in order
         self.runs: list[str] = []
+        #: the last simulation attached and not yet finalized
+        self._unfinalized: Optional["Simulation"] = None
 
     # -- attachment ------------------------------------------------------
     def attach(self, sim: "Simulation") -> "Observability":
         """Thread this instance through one simulation's hook points."""
         if not self.config.enabled:
             return self
+        # code that steps its simulation itself (advance_to, step,
+        # run_until_drained) never finalizes it: do it now, so its
+        # series window closes before this run's opens
+        self.finalize(self._unfinalized)
+        self._unfinalized = sim
         run = sim.scenario.name
         self.attach_network(sim.network, run)
         if sim.watchdog is not None:
@@ -459,10 +466,16 @@ class Observability:
             )
         self.finalize(sim)
 
-    def finalize(self, sim: "Simulation") -> None:
-        """Final scrape of one finished simulation into the registry."""
-        if not self.config.enabled:
+    def finalize(self, sim: Optional["Simulation"]) -> None:
+        """Final scrape of one finished simulation into the registry.
+
+        Only the last simulation attached and not yet finalized is
+        scraped: finalizing it a second time, or any other, does
+        nothing.
+        """
+        if sim is None or sim is not self._unfinalized:
             return
+        self._unfinalized = None
         from repro.obs.collectors import collect_simulation
 
         if self.registry.enabled:
@@ -483,6 +496,7 @@ class Observability:
         returns the manifest written (also built when no path is)."""
         from repro.obs.exporters import export_all
 
+        self.finalize(self._unfinalized)  # the last run's final scrape
         return export_all(self)
 
 

@@ -1,9 +1,10 @@
-"""Streaming detection service: live analytics on the obs event bus.
+"""Streaming detection: live verdicts from the obs event bus.
 
 The observability layer (:mod:`repro.obs`) publishes a typed event
 stream — injections, retransmissions, corruptions, escalations,
-detector flags — that until now was only exported post-run.  This
-package consumes it *while the simulation runs*:
+detector flags.  This package turns it into a verdict stream *while
+the simulation runs*, an online view of the paper's per-receiver
+detector, in three modules:
 
 * :mod:`repro.serve.features` folds bus events into cycle-windowed
   per-link / per-router feature frames (the streaming generalization
@@ -17,12 +18,8 @@ package consumes it *while the simulation runs*:
 * :mod:`repro.serve.pipeline` pumps subscription -> frames ->
   classifiers between engine chunks (:func:`run_streaming`), or over a
   recorded ``events.jsonl`` offline (:func:`replay_events`) — both
-  produce byte-identical verdict streams;
-* :mod:`repro.serve.api` is the asyncio service boundary: clients
-  submit scenarios over line-delimited JSON and receive incremental
-  verdicts and metric snapshots; concurrent submissions of the same
-  scenario coalesce onto one simulation and completed runs are served
-  from the :class:`~repro.sim.cache.ResultCache`.
+  produce byte-identical verdict streams.  The runner's
+  ``verdict_stream`` (``--obs-dir``) rides the same pipeline.
 
 Everything here is a pure observer: a streamed run's
 :class:`~repro.sim.engine.RunResult` is byte-identical to a bare run

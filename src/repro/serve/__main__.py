@@ -1,14 +1,10 @@
-"""``python -m repro.serve`` — the streaming detection service CLI.
+"""``python -m repro.serve`` — the verdict pipeline CLI.
 
 Subcommands:
 
-* ``serve``  — start the asyncio service and print a readiness line
-  (``repro-serve listening on HOST:PORT``) once the socket is bound.
-* ``run``    — run one scenario directly with live verdict extraction
-  (no server), printing verdicts as they surface; ``--json`` writes
-  the full payload (result + verdict stream) for CI comparison.
-* ``submit`` — connect to a running service, submit a scenario and
-  stream its messages to stdout; exits nonzero on an error message.
+* ``run``    — run one scenario with live verdict extraction, printing
+  verdicts as they surface; ``--json`` writes the result and the
+  verdict stream for CI comparison.
 * ``replay`` — re-derive the verdict stream offline from a recorded
   ``events.jsonl`` (byte-reproducible against the live stream).
 """
@@ -16,12 +12,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 from typing import Optional
 
-from repro.serve.api import DetectionServer, ServeConfig, submit_and_stream
 from repro.serve.classify import ZScoreClassifier, default_classifiers
 from repro.serve.pipeline import (
     DEFAULT_CHUNK,
@@ -55,33 +49,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_serve(args) -> int:
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        max_jobs=args.max_jobs,
-        chunk=args.chunk,
-    )
-
-    async def _serve() -> None:
-        server = DetectionServer(config)
-        srv = await server.start()
-        print(
-            f"repro-serve listening on "
-            f"{config.host}:{server.bound_port}",
-            flush=True,
-        )
-        async with srv:
-            await srv.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover
-        pass
-    return 0
-
-
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
 
@@ -100,7 +67,6 @@ def _cmd_run(args) -> int:
         "scenario_hash": scenario.content_hash(),
         **run.to_payload(),
     }
-    del payload["frames"]  # bulky; the cacheable payload keeps them
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.json == "-":
@@ -119,41 +85,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_submit(args) -> int:
-    request: dict = {"op": "submit"}
-    if args.named is not None:
-        request["named"] = args.named
-    elif args.scenario is not None:
-        with open(args.scenario, encoding="utf-8") as fh:
-            request["scenario"] = json.load(fh)
-    else:
-        raise SystemExit("need --named or --scenario")
-    if args.engine is not None:
-        request["engine"] = args.engine
-
-    def on_message(message: dict) -> None:
-        print(json.dumps(message, sort_keys=True), flush=True)
-
-    messages = asyncio.run(
-        submit_and_stream(
-            args.host, args.port, request, on_message=on_message
-        )
-    )
-    return 1 if messages[-1].get("type") == "error" else 0
-
-
 def _cmd_replay(args) -> int:
     from repro.obs.exporters import read_events_jsonl
 
     events = read_events_jsonl(args.events)
     if args.named is not None:
-        classifiers = default_classifiers(named_scenario(args.named))
-        window = 64
         scenario = named_scenario(args.named)
+        classifiers = default_classifiers(scenario)
+        window = 64
         if scenario.defense.detector is not None:
             window = scenario.defense.detector.window
     else:
-        # no topology known: z-score rules only, channels first-seen
+        # no scenario known: z-score rules only, no localizer
         classifiers = [ZScoreClassifier()]
         window = args.window
     pipeline = replay_events(
@@ -167,17 +110,9 @@ def _cmd_replay(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="streaming detection service",
+        description="streaming verdict pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    serve = sub.add_parser("serve", help="start the service")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7441)
-    serve.add_argument("--cache-dir", default=None)
-    serve.add_argument("--max-jobs", type=int, default=2)
-    serve.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
-    serve.set_defaults(func=_cmd_serve)
 
     run_p = sub.add_parser("run", help="direct streamed run")
     _add_scenario_args(run_p)
@@ -191,12 +126,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="write the run payload as JSON ('-' for stdout)",
     )
     run_p.set_defaults(func=_cmd_run)
-
-    submit = sub.add_parser("submit", help="submit to a running service")
-    _add_scenario_args(submit)
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=7441)
-    submit.set_defaults(func=_cmd_submit)
 
     replay = sub.add_parser("replay", help="replay a recorded stream")
     replay.add_argument("events", help="events.jsonl path")

@@ -16,7 +16,7 @@ wrappers over the resilience layer so the statistical cores live once:
 
 Verdict streams are a pure function of the frame sequence, hence of
 the event stream, hence byte-identical across engines and between a
-live service run and an offline replay of the recorded stream.
+live run and an offline replay of the recorded stream.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.noc.config import NoCConfig
-from repro.noc.topology import all_links
 from repro.obs.collectors import link_label, parse_link_label
 from repro.resilience.detect import DetectConfig, DetectionEvent, Welford
 from repro.resilience.localize import (
@@ -76,7 +75,7 @@ class Classifier:
     ``observe`` is called once per closed frame, in frame order;
     ``finish`` once after the last frame.  Implementations must be
     deterministic functions of the frame sequence — no wall-clock, no
-    randomness — or the service's replay guarantee breaks.
+    randomness — or the replay guarantee breaks.
     """
 
     #: stable name stamped into Verdict.source
@@ -92,23 +91,31 @@ class Classifier:
 class _RunChannels:
     """Per-run z-score state: one Welford per link plus the backlog."""
 
-    __slots__ = ("links", "inflight", "flagged", "backpressure_flagged")
+    __slots__ = (
+        "links", "inflight", "flagged", "backpressure_flagged", "frames",
+    )
 
     def __init__(self) -> None:
         self.links: dict[str, Welford] = {}
         self.inflight = Welford()
         self.flagged: set[str] = set()
         self.backpressure_flagged = False
+        #: frames observed so far
+        self.frames = 0
 
 
 class ZScoreClassifier(Classifier):
     """The detector's statistical rules, re-applied to bus frames.
 
     Matches :class:`~repro.resilience.detect.TrafficStatsDetector`
-    channel-for-channel on the NACK side: every link (pre-seeded from
-    the topology when built via :func:`default_classifiers`, else
-    first-seen) is observed every window — zero windows included, so
-    warmup builds the same quiet baseline.  Back-pressure has no
+    channel-for-channel on the NACK side: every link is observed every
+    window — zero windows included, so warmup builds the same quiet
+    baseline.  A link's channel is created at the first frame that
+    carries it; a link first seen at a run's k-th frame was quiet for
+    the k frames before, so its channel starts as k zero windows —
+    exactly the state of a channel observed from frame 0.  An attack
+    that starts after warmup is therefore scored against a quiet
+    baseline instead of being learned as one.  Back-pressure has no
     per-router occupancy on the bus, so the chip-wide in-flight
     backlog (cumulative injects - delivers) stands in for it.
 
@@ -118,37 +125,25 @@ class ZScoreClassifier(Classifier):
 
     name = "zscore"
 
-    def __init__(
-        self,
-        config: Optional[DetectConfig] = None,
-        *,
-        cfg: Optional[NoCConfig] = None,
-    ):
+    def __init__(self, config: Optional[DetectConfig] = None):
         self.config = config or DetectConfig()
-        #: topology to pre-seed link channels from (None: lazy)
-        self.cfg = cfg
         self._runs: dict[str, _RunChannels] = {}
         #: verdicts from the most recent observe() call, for chaining
         self.latest: list[Verdict] = []
 
-    def _channels(self, run: str) -> _RunChannels:
-        channels = self._runs.get(run)
-        if channels is None:
-            channels = _RunChannels()
-            if self.cfg is not None:
-                for key in all_links(self.cfg):
-                    channels.links[link_label(key)] = Welford()
-            self._runs[run] = channels
-        return channels
-
     def observe(self, frame: FeatureFrame) -> list[Verdict]:
         config = self.config
-        channels = self._channels(frame.run)
+        channels = self._runs.get(frame.run)
+        if channels is None:
+            channels = self._runs[frame.run] = _RunChannels()
         verdicts: list[Verdict] = []
         links = channels.links
         for label in frame.links:
             if label not in links:
-                links[label] = Welford()
+                # back-fill: k quiet windows leave count k, mean 0, M2 0
+                links[label] = stats = Welford()
+                stats.count = channels.frames
+        channels.frames += 1
         for label in sorted(links):
             if label in channels.flagged:
                 continue
@@ -292,9 +287,7 @@ def default_classifiers(scenario: Scenario) -> list[Classifier]:
     config when the scenario carries one) feeding topology-aware
     localization (ditto)."""
     defense = scenario.defense
-    zscore = ZScoreClassifier(
-        config=defense.detector or DetectConfig(), cfg=scenario.cfg
-    )
+    zscore = ZScoreClassifier(defense.detector or DetectConfig())
     localizer = LocalizerClassifier(
         scenario.cfg,
         config=defense.localizer or LocalizeConfig(),

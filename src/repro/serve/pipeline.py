@@ -137,11 +137,10 @@ class StreamingRun:
         return [verdict.to_dict() for verdict in self.verdicts]
 
     def to_payload(self) -> dict:
-        """Cacheable JSON payload (what the service memoizes)."""
+        """JSON payload: the result and the verdict stream."""
         return {
             "result": asdict(self.result),
             "verdict_stream": self.verdict_stream(),
-            "frames": [frame.to_dict() for frame in self.frames],
             "dropped": self.dropped,
         }
 
@@ -188,15 +187,13 @@ def run_streaming(
     classifiers: Optional[list[Classifier]] = None,
     capacity: int = DEFAULT_CAPACITY,
     on_verdict: Optional[Callable[[Verdict], None]] = None,
-    on_snapshot: Optional[Callable[[dict], None]] = None,
     events_jsonl: Optional[str] = None,
 ) -> StreamingRun:
     """Run ``scenario`` with live verdict extraction.
 
     ``on_verdict`` fires for each verdict as its window closes (in
-    stream order); ``on_snapshot`` fires once per engine chunk with a
-    small progress snapshot.  ``events_jsonl`` additionally records
-    the raw event stream for :func:`replay_events`.
+    stream order).  ``events_jsonl`` additionally records the raw
+    event stream for :func:`replay_events`.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
@@ -233,16 +230,6 @@ def run_streaming(
         if on_verdict is not None:
             for verdict in fresh:
                 on_verdict(verdict)
-        if on_snapshot is not None:
-            stats = sim.network.stats
-            on_snapshot(
-                {
-                    "cycle": sim.network.cycle,
-                    "packets_injected": stats.packets_injected,
-                    "packets_completed": stats.packets_completed,
-                    "dropped_flits": stats.dropped_flits,
-                }
-            )
 
     completed = _drive(sim, chunk, pump)
     obs.finalize(sim)

@@ -1,10 +1,9 @@
-"""Named scenarios the service accepts by name.
+"""Named scenarios for ``python -m repro.serve run/replay --named``.
 
-Clients can submit a full scenario JSON object, but the canonical
-experiment runs are registered here so a one-line
-``{"op": "submit", "named": "fig11"}`` reproduces exactly what the
-experiment module would simulate — same content hash, so a direct
-runner invocation and a service submission share cache entries.
+The canonical experiment runs are registered here so ``--named fig11``
+reproduces exactly what the experiment module would simulate — same
+content hash — and a replay can rebuild the classifier chain the live
+run used.
 
 Builders are looked up lazily (building fig11 traces a warm-up run to
 pick the hot link), and every builder is deterministic: the same name
@@ -34,7 +33,7 @@ def _distributed_quick() -> Scenario:
     from repro.experiments.distributed import build_scenario
 
     # pinned to the quick (N=3, 4000-cycle) CI case regardless of the
-    # REPRO_DISTRIBUTED_QUICK env var in the serving process
+    # REPRO_DISTRIBUTED_QUICK env var
     return build_scenario(n=3, duration=4000, attacked=True)
 
 

@@ -1,8 +1,8 @@
 """The simulator's import path is pure Python.
 
-numpy backs only the analysis codec :mod:`repro.ecc.batch`, which is
-imported on its own, so importing the package and running a simulation
-must work on an interpreter without numpy and must not load it.
+The package declares no runtime dependency, so importing it and
+running a simulation must work on an interpreter without numpy and
+must not load it.
 """
 
 import os

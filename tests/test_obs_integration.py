@@ -384,18 +384,24 @@ class TestRunnerIntegration:
         # manifest (the CI resume job byte-compares these files)
         assert payload["metrics"] == {"format": 1, "enabled": False}
 
-    def test_obs_dir_arms_ambient_and_exports(self, tmp_path):
+    # fig2 finishes every run through Simulation.run(); ablations and
+    # fig1 step theirs by hand, so their runs are finalized when the
+    # next one attaches and at export
+    @pytest.mark.parametrize("name", ["fig2", "ablations", "fig1"])
+    def test_obs_dir_arms_ambient_and_exports(self, tmp_path, name):
         out = tmp_path / "results.json"
         obs_dir = tmp_path / "obs"
         report = runner.run_experiment(
-            "fig2", json_path=str(out), obs_dir=str(obs_dir)
+            name, json_path=str(out), obs_dir=str(obs_dir)
         )
         assert "observability exported to" in report
-        exported = obs_dir / "fig2"
+        exported = obs_dir / name
         assert validate_events_jsonl(exported / "events.jsonl") > 0
         manifest = validate_metrics_json(exported / "metrics.json")
         assert manifest["enabled"] is True
         assert manifest["runs"]
+        # the final scrape reached the export
+        assert "stats_packets_completed" in manifest["metrics"]
         assert (exported / "metrics.prom").read_text()
         assert exporters_main(["validate", str(exported)]) == 0
         # the run result embeds the same manifest

@@ -9,9 +9,7 @@ produces.
 
 import pytest
 
-from repro.noc.config import PAPER_CONFIG, NoCConfig
-from repro.noc.topology import Direction, all_links
-from repro.obs.collectors import link_label
+from repro.noc.config import PAPER_CONFIG
 from repro.resilience.detect import DetectConfig
 from repro.resilience.localize import LocalizeConfig
 from repro.serve.classify import (
@@ -82,14 +80,23 @@ class TestZScoreClassifier:
         assert verdict.kind == "backpressure"
         assert verdict.subject == "inflight"
 
-    def test_topology_preseeds_every_link_channel(self):
-        cfg = NoCConfig(mesh_width=3, mesh_height=3, concentration=1)
-        clf = ZScoreClassifier(QUICK, cfg=cfg)
-        clf.observe(frame(0, run="seeded"))
-        channels = clf._runs["seeded"].links
-        assert set(channels) == {
-            link_label(key) for key in all_links(cfg)
-        }
+    def test_a_link_first_seen_after_warmup_flags_on_its_second_spike(self):
+        """The attack starts after warmup, on a link no earlier frame
+        carried: its channel is back-filled with the quiet windows, so
+        the attack is scored against them instead of becoming the
+        baseline — the same verdicts as a channel seen from frame 0."""
+        attack = [frame((6 + i) * 10, nacks={"0->EAST": 40})
+                  for i in range(2)]
+        late = ZScoreClassifier(QUICK)
+        assert feed(late, [frame(i * 10) for i in range(6)]) == []
+        assert late.observe(attack[0]) == []
+        (verdict,) = late.observe(attack[1])
+        assert verdict.kind == "suspect_link"
+        assert verdict.subject == "0->EAST"
+        assert verdict.cycle == 80
+        early = ZScoreClassifier(QUICK)
+        quiet = [frame(i * 10, nacks={"0->EAST": 0}) for i in range(6)]
+        assert feed(early, quiet + attack) == [verdict]
 
     def test_runs_are_isolated(self):
         clf = ZScoreClassifier(QUICK)
@@ -158,4 +165,3 @@ class TestLocalizerClassifier:
         assert isinstance(zscore, ZScoreClassifier)
         assert isinstance(localizer, LocalizerClassifier)
         assert localizer.upstream is zscore
-        assert zscore.cfg is scenario.cfg
