@@ -80,28 +80,26 @@ class DetectingReceiver(EccReceiver):
     ) -> Optional[NackAdvice]:
         return self.detector.on_fault(tx, cycle, result)
 
-    def _deliver_plain(
-        self, tx: Transmission, cycle: int, result: DecodeResult
-    ) -> None:
+    def _deliver_plain(self, tx: Transmission, cycle: int, data: int) -> None:
         self.detector.on_clean(tx, cycle)
-        self._finalize_flit(tx.flit, result.data)
-        self._cache_and_resolve(tx.tag, result.data, cycle)
+        self._finalize_flit(tx.flit, data)
+        self._cache_and_resolve(tx.tag, data, cycle)
         self._stage(StagedFlit(tx.flit, tx.vc, tx.vc_seq, cycle))
         self._send_ok(tx, cycle)
 
     # -- L-Ob decode ------------------------------------------------------------
     def _accept_obfuscated(
-        self, tx: Transmission, cycle: int, result: DecodeResult
+        self, tx: Transmission, cycle: int, data: int
     ) -> None:
         self.detector.on_clean(tx, cycle)
         desc = tx.ob
         assert desc is not None
         if desc.method is ObMethod.SCRAMBLE:
-            self._accept_scrambled(tx, cycle, result, desc)
+            self._accept_scrambled(tx, cycle, data, desc)
             return
         penalty = PENALTY_CYCLES[desc.method]
         self.deob_stall_cycles += penalty
-        data = self.lob_codec.undo(result.data, desc.method, desc.granularity)
+        data = self.lob_codec.undo(data, desc.method, desc.granularity)
         self._finalize_flit(tx.flit, data)
         self._cache_and_resolve(tx.tag, data, cycle)
         self._stage(StagedFlit(tx.flit, tx.vc, tx.vc_seq, cycle + penalty))
@@ -111,12 +109,12 @@ class DetectingReceiver(EccReceiver):
         self,
         tx: Transmission,
         cycle: int,
-        result: DecodeResult,
+        word: int,
         desc: ObDescriptor,
     ) -> None:
         partner_data = self._data_cache.get(desc.partner_tag)
         if partner_data is not None:
-            data = result.data ^ partner_data
+            data = word ^ partner_data
             penalty = PENALTY_CYCLES[ObMethod.SCRAMBLE]
             self.deob_stall_cycles += penalty
             self._finalize_flit(tx.flit, data)
@@ -128,7 +126,7 @@ class DetectingReceiver(EccReceiver):
         else:
             # Hold the scrambled word until the partner crosses the link
             # (Fig. 7 step (i): flit #4 stalls until (2+4) resolves).
-            tx.flit.data = result.data  # scrambled word, fixed on resolve
+            tx.flit.data = word  # scrambled word, fixed on resolve
             staged = StagedFlit(
                 tx.flit,
                 tx.vc,

@@ -26,7 +26,9 @@ Checked invariant families (selectable via ``families``):
 * ``counters`` — the state the routers and receivers keep incrementally
   (flit tallies per router and per input port, the per-stage VC
   worklists, each VC's resolved output port, each receiver's staged
-  count) agrees with a recount from the VC buffers and staging stores.
+  count) agrees with a recount from the VC buffers and staging stores,
+  and every link whose retransmission buffer holds an entry a NACK
+  re-armed is in ``Network.retrying``, the set the watchdog walks.
 
 The flit sweep, and the ``credit``, ``buffer`` and ``counters`` checks
 with it, support two scopes.  ``"full"`` walks every router and link.
@@ -45,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.noc.network import Network
+from repro.noc.retrans import EntryState
 from repro.noc.topology import Direction
 
 #: every invariant family, in audit order
@@ -373,6 +376,16 @@ class NetworkValidator:
                         f"router {router.id}: {stage} worklist "
                         f"{getattr(work, stage):#x} != {expected:#x}",
                     )
+            for out in router.out_ports:
+                key = (router.id, out.direction)
+                if key not in net.retrying and any(
+                    _rearmed(entry) for entry in out.retrans._entries.values()
+                ):
+                    self._fail(
+                        "counters",
+                        f"link {key}: a re-armed retransmission entry on "
+                        f"a link the watchdog does not walk",
+                    )
         for key in link_keys:
             receiver = net.receiver_of(key)
             staged = sum(len(store) for store in receiver._staging.values())
@@ -391,6 +404,14 @@ class NetworkValidator:
                         f"link {key} vc {vc}: staged or skipped sequence "
                         f"numbers on a VC the resequencer does not visit",
                     )
+
+
+def _rearmed(entry) -> bool:
+    """A NACK re-armed the entry: it is READY after a send, or was sent
+    again after one (only a NACK makes a sent entry READY)."""
+    return entry.send_count >= 2 or (
+        entry.send_count >= 1 and entry.state is EntryState.READY
+    )
 
 
 def _worklist_of(vc) -> "str | None":

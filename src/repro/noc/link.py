@@ -5,6 +5,11 @@ attached to it (transient noise, stuck-at wires, a TASP trojan) sees and
 may alter each codeword in flight.  The reverse ACK/NACK wires of the
 link are modelled as a separate delayed queue — per the paper's threat
 model the trojan taps the forward data wires only.
+
+Tampering happens only at launch, so a link with no tamperer and no
+launch hook carries its words unencoded: a SECDED round trip of an
+unaltered word returns that word with status OK, which is what the
+receiver assumes of a transmission without a codeword.
 """
 
 from __future__ import annotations
@@ -22,16 +27,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(slots=True)
 class Transmission:
-    """One codeword in flight on a link."""
+    """One word in flight on a link: its SECDED codeword on a link that
+    can alter it, the plain word on one that cannot."""
 
     tag: int
     vc: int
     #: per-(link, VC) sequence number for receiver-side resequencing
     vc_seq: int
-    codeword: int
+    #: the SECDED codeword after the tamper chain, or None when the link
+    #: had no tamperer and no launch hook at launch
+    codeword: Optional[int]
     flit: "Flit"
     ob: Optional["ObDescriptor"]
     launch_cycle: int
+    #: the pre-ECC word (L-Ob's obfuscated word when the encoder chose
+    #: one); the receiver reads it only when ``codeword`` is None
+    data: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -126,7 +137,9 @@ class Link:
         return codeword
 
     def launch(self, tx: Transmission, cycle: int) -> None:
-        """Put a transmission on the wire; tampering happens here."""
+        """Put a transmission on the wire; tampering happens here, so a
+        transmission without a codeword must only be launched on a link
+        with no tamperer and no launch hook."""
         codeword = original = tx.codeword
         # apply_tamper inlined: one launch per flit-hop
         for tamperer in self.tamperers:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.ecc import SECDED_72_64, Secded
 from repro.noc.config import NoCConfig
@@ -125,6 +125,11 @@ class Network:
         self._full_sweep = False
         self._active_routers: set[int] = set(range(cfg.num_routers))
         self._active_links: set[LinkKey] = set(self._link_keys)
+        #: links whose retransmission buffer may hold an entry a NACK
+        #: re-armed: the ACK phase adds a link when it re-arms one, and
+        #: the watchdog, which acts only on such entries and on the
+        #: links it dropped on, removes a link once its buffer is empty
+        self.retrying: set[LinkKey] = set()
 
         self._backlogs: list[deque[Flit]] = [
             deque() for _ in range(cfg.num_cores)
@@ -388,12 +393,6 @@ class Network:
     def output_port_of(self, key: LinkKey):
         return self.routers[key[0]].outputs[key[1]]
 
-    def link_outputs(self) -> Iterator[tuple[LinkKey, OutputPort]]:
-        """Every link key with the output port feeding it, in canonical
-        link order, for monitors that scan every output each cycle."""
-        for key, wires in self._wiring.items():
-            yield key, wires[3]
-
     # -- traffic --------------------------------------------------------------
     def set_traffic(self, source: TrafficSource) -> None:
         self.traffic = source
@@ -468,8 +467,12 @@ class Network:
         wiring = self._wiring
         for key in link_keys:
             acks = wiring[key][0]._acks
-            if acks and acks[0][0] <= cycle:
-                wiring[key][3].process_acks(cycle)
+            if (
+                acks
+                and acks[0][0] <= cycle
+                and wiring[key][3].process_acks(cycle)
+            ):
+                self.retrying.add(key)
         if prof is not None:
             _t = prof.lap("ack", _t)
 

@@ -123,7 +123,9 @@ class EccReceiver:
 
     # ------------------------------------------------------------------
     def process(self, tx: Transmission, cycle: int) -> None:
-        """Handle one arriving transmission."""
+        """Handle one arriving transmission.  One without a codeword
+        crossed a link that can alter nothing, so its word is accepted
+        as the clean (OK) decode it would have been."""
         # an in-order arrival usually finds its VC with nothing staged
         # or skipped (its bit in ``_live`` clear) and skips both lookups
         if self._live >> tx.vc & 1 and (
@@ -135,19 +137,26 @@ class EccReceiver:
             # path already gave up on; re-ACK and drop.
             self._send_ok(tx, cycle)
             return
-        result = self.codec.decode(tx.codeword)
-        status = result.status
-        if status is DecodeStatus.DETECTED:
-            self._reject(tx, cycle, result)
-        elif tx.flit.pkt_id in self.poisoned_packets:
-            self._discard(tx, cycle)
+        codeword = tx.codeword
+        if codeword is None:
+            data = tx.data
+            status = None
         else:
-            if status is DecodeStatus.CORRECTED:
-                self.flits_corrected += 1
-            if tx.ob is None:
-                self._deliver_plain(tx, cycle, result)
-            else:
-                self._accept_obfuscated(tx, cycle, result)
+            result = self.codec.decode(codeword)
+            status = result.status
+            if status is DecodeStatus.DETECTED:
+                self._reject(tx, cycle, result)
+                return
+            data = result.data
+        if tx.flit.pkt_id in self.poisoned_packets:
+            self._discard(tx, cycle)
+            return
+        if status is DecodeStatus.CORRECTED:
+            self.flits_corrected += 1
+        if tx.ob is None:
+            self._deliver_plain(tx, cycle, data)
+        else:
+            self._accept_obfuscated(tx, cycle, data)
 
     # -- reject path ------------------------------------------------------
     def _reject(self, tx: Transmission, cycle: int, result: DecodeResult) -> None:
@@ -163,16 +172,14 @@ class EccReceiver:
         return None
 
     # -- accept path --------------------------------------------------------
-    def _deliver_plain(
-        self, tx: Transmission, cycle: int, result: DecodeResult
-    ) -> None:
-        """Accept an unobfuscated flit: adopt the decoded word, stage it
+    def _deliver_plain(self, tx: Transmission, cycle: int, data: int) -> None:
+        """Accept an unobfuscated flit: adopt the accepted word, stage it
         for release this cycle and ACK it.  This is what
         :meth:`_finalize_flit`, :meth:`_stage` and :meth:`_send_ok` do,
         written out because it runs once per flit-hop; :meth:`process`
         has already ruled out a staged duplicate."""
         flit = tx.flit
-        data = flit.data = result.data
+        flit.data = data
         if flit.is_head:
             (src, src_mask), (dst, dst_mask), (mem, mem_mask) = (
                 self._header_fields
@@ -195,7 +202,7 @@ class EccReceiver:
         ))
 
     def _accept_obfuscated(
-        self, tx: Transmission, cycle: int, result: DecodeResult
+        self, tx: Transmission, cycle: int, data: int
     ) -> None:
         """Baseline networks never launch obfuscated flits; receiving one
         without mitigation support is a protocol violation."""

@@ -170,16 +170,18 @@ class RetransBuffer:
             self.acks_received += 1
         return entry
 
-    def on_nack(self, tag: int, advice: Optional[NackAdvice] = None) -> None:
-        """Negative acknowledgement: re-arm for retransmission."""
+    def on_nack(self, tag: int, advice: Optional[NackAdvice] = None) -> bool:
+        """Negative acknowledgement: re-arm for retransmission.  Returns
+        whether an entry was re-armed (the tag may have retired)."""
         entry = self._entries.get(tag)
         if entry is None:
-            return
+            return False
         entry.state = EntryState.READY
         entry.flit.retransmissions += 1
         if advice is not None:
             entry.ob_advice = advice
         self.nacks_received += 1
+        return True
 
     def drop(self, tag: int) -> Optional[RetransEntry]:
         """Forcibly retire an entry without an acknowledgement.

@@ -277,12 +277,14 @@ class OutputPort:
             return cycle - oldest.admitted_cycle > stall_window
         return False
 
-    def process_acks(self, cycle: int) -> None:
+    def process_acks(self, cycle: int) -> bool:
         """Retire or re-arm the retransmission entries whose ACK/NACK
-        reaches this port by ``cycle`` (the reverse wire is a FIFO)."""
+        reaches this port by ``cycle`` (the reverse wire is a FIFO).
+        Returns whether a NACK re-armed an entry."""
         link = self.link
         retrans = self.retrans
         entries = retrans._entries
+        rearmed = False
         for _when, ack in pop_due(link._acks, cycle):
             if link.ack_hooks:
                 entry_for_hook = entries.get(ack.tag)
@@ -302,8 +304,9 @@ class OutputPort:
                         self.holder_pkts[entry.out_vc] = None
                 if self.lob is not None and ack.ob_success is not None:
                     self.lob.record_success(ack.flow_signature, ack.ob_success)
-            else:
-                retrans.on_nack(ack.tag, ack.advice)
+            elif retrans.on_nack(ack.tag, ack.advice):
+                rearmed = True
+        return rearmed
 
 
 class EjectPort:
@@ -590,7 +593,12 @@ class Router:
     # -- LT (output side) -----------------------------------------------------
     def launch_links(self, cycle: int, codec: "Secded") -> list:
         """Launch one ready flit per output link; returns the keys of
-        the links launched on."""
+        the links launched on.
+
+        A word is SECDED-encoded only for a link with a tamperer or a
+        launch hook: nothing else can alter it before the receiver, and
+        there a clean decode returns the word itself.
+        """
         launched = []
         policy = self.policy
         link_gate = "flit_may_use_link" in policy.gated
@@ -631,8 +639,11 @@ class Router:
                 entry, data, descriptor = selection
             link.launch(
                 Transmission(
-                    entry.tag, entry.out_vc, entry.vc_seq, codec.encode(data),
-                    entry.flit, descriptor, cycle,
+                    entry.tag, entry.out_vc, entry.vc_seq,
+                    codec.encode(data)
+                    if link.tamperers or link.launch_hooks
+                    else None,
+                    entry.flit, descriptor, cycle, data,
                 ),
                 cycle,
             )

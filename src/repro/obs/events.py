@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 #: bump on incompatible changes to Event layout or kind semantics
 #: (v2 adds the recovery loop: probe / reinstate / flap_damp / detect;
@@ -136,39 +136,38 @@ class Subscription:
     """A bounded event queue owned by one consumer.
 
     The bus appends to it; the consumer :meth:`drain`\\ s it.  When the
-    queue is full new events are *dropped and counted* — never blocked
-    on — so a slow or absent consumer cannot stall the simulation.
+    queue is full and the consumer gave no ``flush``, new events are
+    *dropped and counted* — never blocked on — so a slow or absent
+    consumer cannot stall the simulation.  A consumer that drains only
+    at the end of a run (the ``events.jsonl`` export) passes ``flush``
+    instead: the bus calls it on a full queue, it drains the queue into
+    the consumer, and nothing is dropped while memory stays bounded by
+    ``capacity``.
     """
 
-    __slots__ = ("capacity", "queue", "dropped", "received")
+    __slots__ = ("capacity", "queue", "dropped", "received", "flush")
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(
+        self, capacity: int, flush: Optional[Callable[[], object]] = None
+    ) -> None:
         if capacity <= 0:
             raise ValueError("subscription capacity must be positive")
         self.capacity = capacity
         self.queue: deque[Event] = deque()
         self.dropped = 0
         self.received = 0
+        #: drains the full queue into its consumer (None: drop instead);
+        #: a bound method, so an instrumented simulation still pickles
+        self.flush = flush
 
     def __len__(self) -> int:
         return len(self.queue)
 
     def drain(self) -> list[Event]:
-        """All queued events, removing them (oldest first).
-
-        Implemented as a popleft loop rather than ``list()`` + ``clear``
-        so a consumer on another thread (the serving layer pumps its
-        subscription from a worker) never loses events appended between
-        the copy and the clear — ``deque.popleft`` and ``append`` are
-        individually atomic.
-        """
-        out: list[Event] = []
-        queue = self.queue
-        while True:
-            try:
-                out.append(queue.popleft())
-            except IndexError:
-                return out
+        """All queued events, removing them (oldest first)."""
+        out = list(self.queue)
+        self.queue.clear()
+        return out
 
     def peek(self) -> Iterator[Event]:
         return iter(self.queue)
@@ -187,8 +186,13 @@ class EventBus:
         Event construction entirely on the disabled path)."""
         return bool(self.subscriptions)
 
-    def subscribe(self, capacity: int = 200_000) -> Subscription:
-        sub = Subscription(capacity)
+    def subscribe(
+        self,
+        capacity: int = 200_000,
+        flush: Optional[Callable[[], object]] = None,
+    ) -> Subscription:
+        """A new subscription; see :class:`Subscription` for ``flush``."""
+        sub = Subscription(capacity, flush)
         self.subscriptions.append(sub)
         return sub
 
@@ -202,10 +206,12 @@ class EventBus:
         self.published += 1
         for sub in self.subscriptions:
             if len(sub.queue) >= sub.capacity:
-                sub.dropped += 1
-            else:
-                sub.queue.append(event)
-                sub.received += 1
+                if sub.flush is None:
+                    sub.dropped += 1
+                    continue
+                sub.flush()
+            sub.queue.append(event)
+            sub.received += 1
 
     def emit(
         self, kind: str, cycle: int, run: str = "", **data

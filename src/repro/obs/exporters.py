@@ -46,12 +46,15 @@ class ObsExportError(ValueError):
 # ---------------------------------------------------------------------------
 # JSONL event stream
 # ---------------------------------------------------------------------------
-def write_events_jsonl(path: "str | Path", events: Iterable[Event]) -> int:
-    """Write one event per line; returns the number written."""
+def write_events_jsonl(
+    path: "str | Path", events: Iterable[Event], append: bool = False
+) -> int:
+    """Write one event per line (after the existing ones with
+    ``append``); returns the number written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(json.dumps(event.to_dict(), sort_keys=True))
             fh.write("\n")
@@ -244,7 +247,7 @@ def export_all(obs: "Observability") -> dict:
     returns the manifest (built even when no path is configured)."""
     config = obs.config
     if config.events_jsonl and obs.export_sub is not None:
-        write_events_jsonl(config.events_jsonl, obs.export_sub.drain())
+        obs.spill_events()
     manifest = build_manifest(obs)
     if config.metrics_json:
         write_metrics_json(config.metrics_json, manifest)

@@ -23,7 +23,9 @@ attaches automatically.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, TYPE_CHECKING
 
 from repro.obs.events import EventBus, Subscription
@@ -50,7 +52,9 @@ class ObsConfig:
     events: bool = True
     #: back-pressure series window in cycles (0 disables the series)
     window: int = 64
-    #: export subscription bound (overflow drops events, never blocks)
+    #: export subscription bound: a full queue is appended to
+    #: ``events_jsonl`` when that is set, and drops events otherwise
+    #: (it never blocks)
     queue_capacity: int = 200_000
     #: JSONL event stream path (None: no file export)
     events_jsonl: Optional[str] = None
@@ -390,9 +394,13 @@ class Observability:
         )
         self.bus = EventBus()
         self.export_sub: Optional[Subscription] = None
+        #: events appended to ``events_jsonl`` so far, and its size then
+        self.events_written = 0
+        self.events_bytes = 0
         if enabled and self.config.events:
             self.export_sub = self.bus.subscribe(
-                self.config.queue_capacity
+                self.config.queue_capacity,
+                self.spill_events if self.config.events_jsonl else None,
             )
         self.series: Optional[WindowedSeries] = None
         if enabled and self.config.window > 0:
@@ -484,6 +492,28 @@ class Observability:
             self.series.flush()
 
     # -- output ----------------------------------------------------------
+    def spill_events(self) -> None:
+        """Append the export queue to ``events_jsonl`` (the first call
+        starts the file): the export subscription's flush when it
+        fills, and the last step of :meth:`export`."""
+        from repro.obs.exporters import write_events_jsonl
+
+        path = Path(self.config.events_jsonl)
+        if self.events_written:
+            # a run restored from a checkpoint goes on from the lines
+            # its checkpointed self had written; when those are gone
+            # the file starts over and they count as dropped
+            size = path.stat().st_size if path.exists() else -1
+            if size < self.events_bytes:
+                self.export_sub.dropped += self.events_written
+                self.events_written = 0
+            elif size > self.events_bytes:
+                os.truncate(path, self.events_bytes)
+        self.events_written += write_events_jsonl(
+            path, self.export_sub.drain(), append=self.events_written > 0
+        )
+        self.events_bytes = path.stat().st_size
+
     def manifest(self) -> dict:
         """The per-run ``metrics.json`` payload (deterministic: counts
         and series only, no wall-clock unless profiling is armed)."""

@@ -4,9 +4,10 @@ The TASP attack works because the baseline retransmission protocol is
 infinitely patient: a flit the trojan corrupts on every traversal
 retries forever, pinning its slot and farming back-pressure into a
 chip-scale deadlock.  :class:`RetransWatchdog` bounds that patience.
-It observes every output port's retransmission buffer once per cycle
-(wired in through ``network.monitors``) and walks pinned entries up a
-ladder:
+Once per cycle (wired in through ``network.monitors``) it observes the
+retransmission buffers of the output ports that took a NACK
+(``Network.retrying``) and of the links it has dropped on, and walks
+pinned entries up a ladder:
 
 1. **backoff** — after ``backoff_after`` sends, defer relaunches with
    exponential backoff.  This stops a pinned flit from monopolising the
@@ -41,6 +42,13 @@ destinations whose only minimal route dies with the link.
 A network-level coordinator can plug into ``action_gate`` to veto
 OBFUSCATE/DROP rungs (global action budgets, per-link retry backoff) —
 see :mod:`repro.resilience.containment`.
+
+Every rung needs an entry sent ``backoff_after`` (at least 2) times,
+and only a NACK re-arms an entry for a second send, so a port that
+never took a NACK holds only entries below every rung; the condemn
+check needs a drop on the link or such an entry.  The links outside
+those two sets are therefore skipped, which changes no action, no gate
+call and no counter.
 
 The watchdog only *observes and advises* within the link-level
 protocol's own legal moves (defers, advice, READY-entry drops), so all
@@ -131,12 +139,23 @@ class WatchdogConfig:
                 "ladder must be ordered: backoff_after <= obfuscate_after "
                 "<= max_retries"
             )
+        # the ladder watches only ports that took a NACK and links it
+        # dropped on; below these bounds an unwatched port could act
+        if self.backoff_after < 2:
+            raise ValueError(
+                "backoff_after must be at least 2: a first send is no retry"
+            )
+        if self.condemn_after_drops < 1:
+            raise ValueError(
+                "condemn_after_drops must be at least 1: a link that never "
+                "dropped is condemned only by its pinned age"
+            )
         if self.backoff_base <= 0 or self.backoff_cap <= 0:
             raise ValueError("backoff parameters must be positive")
 
 
 class RetransWatchdog:
-    """Progress watchdog over every output port of one network.
+    """Progress watchdog over the output ports of one network.
 
     Attach with :meth:`attach`; detach (e.g. across an epoch change)
     with :meth:`detach` and re-attach to the new network.
@@ -294,21 +313,40 @@ class RetransWatchdog:
         return self.action_gate is None or self.action_gate(stage, key, cycle)
 
     def next_event_cycle(self, network: Network, cycle: int):
-        """Event-engine contract: the ladder must observe every cycle
-        any retransmission buffer is non-empty — the drop rung fires on
-        the exact cycle an entry turns READY and the containment gate
-        draws per-denial jitter, both cycle-sensitive.  On a quiescent
+        """Event-engine contract: the ladder must observe every cycle in
+        which a watched link (one in ``Network.retrying``, or dropped on
+        and not condemned) holds entries — the drop rung fires on the
+        exact cycle an entry turns READY and the containment gate draws
+        per-denial jitter, both cycle-sensitive.  The hook demands every
+        non-quiescent cycle, a superset of those.  On a quiescent
         network every buffer is empty and :meth:`on_cycle` is a proven
         no-op, so the watchdog demands nothing."""
         return None if network.quiescent else cycle
 
     # -- the per-cycle ladder ----------------------------------------------
     def on_cycle(self, network: Network, cycle: int) -> None:
-        cfg = self.config
+        # the links a rung can act on: those whose output port re-armed
+        # an entry, and those dropped on and not condemned (their drop
+        # count alone can condemn them)
+        retrying = watched = network.retrying
+        if self._drops_per_link:
+            watched = retrying.union(
+                key
+                for key in self._drops_per_link
+                if key not in self._condemned
+            )
+        if not watched:
+            return
         # canonical link order: the containment gate draws jitter per
         # denial, so the order of its calls is part of the result
-        for key, out in network.link_outputs():
+        watched = sorted(watched, key=network._link_order.__getitem__)
+        cfg = self.config
+        wiring = network._wiring
+        for key in watched:
+            out = wiring[key][3]
             if not out.retrans._entries:
+                # every re-armed entry has retired
+                retrying.discard(key)
                 continue
             condemned = key in self._condemned
             thresholds = self._ladder_thresholds(key)
@@ -339,7 +377,7 @@ class RetransWatchdog:
                 self._maybe_condemn(
                     network, key, cycle, ladder_active, out, thresholds
                 )
-        self._prune(network)
+        self._prune(network, watched)
 
     # -- rungs ---------------------------------------------------------------
     def _apply_backoff(
@@ -479,14 +517,20 @@ class RetransWatchdog:
         self._pending_risks.append(risk)
 
     # -- housekeeping --------------------------------------------------------
-    def _prune(self, network: Network) -> None:
-        """Forget ladder state of entries that have retired."""
+    def _prune(self, network: Network, watched: list[LinkKey]) -> None:
+        """Forget ladder state of entries that have retired.  Ladder
+        state exists only for entries on watched links, and a link
+        leaves ``Network.retrying`` only once its buffer is empty, so
+        ``watched`` holds every entry the state can name (retired state
+        is never read again, so a cycle with nothing watched skips the
+        prune)."""
         if len(self._backed_off) < 512 and len(self._advised) < 512:
             return
+        wiring = network._wiring
         live = {
             (key, entry.tag)
-            for key, out in network.link_outputs()
-            for entry in out.retrans._entries.values()
+            for key in watched
+            for entry in wiring[key][3].retrans._entries.values()
         }
         self._backed_off = {
             k: v for k, v in self._backed_off.items() if k in live

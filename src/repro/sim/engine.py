@@ -593,8 +593,11 @@ class Simulation:
         from repro.sim.forensics import load_bundle
 
         sim = cls.restore(load_bundle(bundle).checkpoint_path)
-        # a replay diagnoses an existing bundle — don't write new ones
+        # a replay diagnoses an existing bundle — don't write new ones,
+        # nor spill into the event export of the run it came from
         sim.forensics = None
+        if sim.obs is not None and sim.obs.export_sub is not None:
+            sim.obs.export_sub.flush = None
         return sim
 
     # -- one-shot --------------------------------------------------------

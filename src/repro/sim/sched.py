@@ -151,6 +151,7 @@ class EventCore:
         "sim",
         "wheel",
         "wake_counts",
+        "pinned_by",
         "cycles_skipped",
         "leaps",
         "decisions",
@@ -161,6 +162,10 @@ class EventCore:
         self.wheel = WakeupWheel()
         #: token -> wakes retired through the wheel (deterministic)
         self.wake_counts: dict[str, int] = {}
+        #: token -> decisions that landed "now" because of that hook
+        #: (the first to demand it; ``wheel`` for a due wheel bucket),
+        #: so they sum to ``decisions - leaps``
+        self.pinned_by: dict[str, int] = {}
         #: no-op cycles the clock teleported across
         self.cycles_skipped = 0
         #: number of teleports
@@ -182,18 +187,21 @@ class EventCore:
         candidates are recorded on the wheel (for accounting and
         checkpoint persistence) and the earliest one wins.  The method
         early-exits the moment any candidate demands "now", keeping
-        busy-path overhead to a few attribute reads per cycle.
+        busy-path overhead to a few attribute reads per cycle, and
+        counts that candidate in ``pinned_by``.
         """
         sim = self.sim
         net = sim.network
         cycle = net.cycle
         self.decisions += 1
         wheel = self.wheel
+        pinned_by = self.pinned_by
 
         # components (routers, links, credits, retransmission timers)
         component = net.next_event_cycle()
         if component is not None:
             if component <= cycle:
+                pinned_by["component"] = pinned_by.get("component", 0) + 1
                 return cycle
             wheel.schedule(component, "component")
 
@@ -203,6 +211,7 @@ class EventCore:
             when = traffic.next_active_cycle(cycle)
             if when is not None:
                 if when <= cycle:
+                    pinned_by["traffic"] = pinned_by.get("traffic", 0) + 1
                     return cycle
                 wheel.schedule(when, "traffic")
 
@@ -210,18 +219,19 @@ class EventCore:
         # a monitor without the hook forbids skipping outright
         for monitor in net.monitors:
             hook = getattr(monitor, "next_event_cycle", None)
-            if hook is None:
-                return cycle
-            when = hook(net, cycle)
+            when = cycle if hook is None else hook(net, cycle)
             if when is not None:
+                token = "monitor:" + type(monitor).__name__
                 if when <= cycle:
+                    pinned_by[token] = pinned_by.get(token, 0) + 1
                     return cycle
-                wheel.schedule(when, "monitor:" + type(monitor).__name__)
+                wheel.schedule(when, token)
 
         # back-pressure sampling cadence
         interval = net.sample_interval
         if interval:
             if cycle % interval == 0:
+                pinned_by["sample"] = pinned_by.get("sample", 0) + 1
                 return cycle
             wheel.schedule((cycle // interval + 1) * interval, "sample")
 
@@ -231,11 +241,13 @@ class EventCore:
         if sim._ckpt_next is not None:
             due = sim._ckpt_next - 1
             if due <= cycle:
+                pinned_by["checkpoint"] = pinned_by.get("checkpoint", 0) + 1
                 return cycle
             wheel.schedule(due, "checkpoint")
         if sim.forensics is not None:
             due = sim.forensics._next_snapshot - 1
             if due <= cycle:
+                pinned_by["forensics"] = pinned_by.get("forensics", 0) + 1
                 return cycle
             wheel.schedule(due, "forensics")
 
@@ -243,12 +255,15 @@ class EventCore:
         # the step after last_delivery + stall_limit cycles of silence
         if stall is not None:
             if stall <= cycle:
+                pinned_by["stall-abort"] = pinned_by.get("stall-abort", 0) + 1
                 return cycle
             wheel.schedule(stall, "stall-abort")
 
         due = wheel.next_cycle(cycle)
         if due is None or due > bound:
             return bound
+        if due <= cycle:
+            pinned_by["wheel"] = pinned_by.get("wheel", 0) + 1
         return due
 
     def _leap(self, target: int) -> None:

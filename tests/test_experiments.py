@@ -1,5 +1,6 @@
 """Fast sanity tests of the experiment harness (small parameters; the
-full-size runs live in benchmarks/)."""
+full-size runs live in benchmarks/), and the paper's headline facts as
+named regression asserts at the experiments' defaults."""
 
 import pytest
 
@@ -128,6 +129,32 @@ class TestFig12:
             "tdm_clean_domain_baseline"
         ]
         assert "QoS containment" in fig12_qos.format_result(result)
+
+
+class TestPaperHeadlines:
+    """The denial of service runs through SECDED's detected-but-not-
+    corrected double flip and the retransmission it forces, so any
+    change to the receive path must keep these at the defaults."""
+
+    def test_tasp_blocks_half_the_unmitigated_mesh_in_the_window(self):
+        result = fig11_backpressure.run()
+        h = result.headline
+        half = PAPER_CONFIG.num_routers // 2
+        assert result.trojan_triggers > 0
+        # relative to the trojan's enable, inside the default window
+        assert h["cycles_to_half_routers_blocked"] is not None
+        assert h["cycles_to_half_routers_blocked"] < 1500
+        assert h["peak_blocked_routers_clean"] < half
+
+    def test_tdm_contains_the_attack_and_lob_mitigates_it(self):
+        h = fig12_qos.run().headline
+        victim_baseline = h["tdm_victim_domain_baseline"]
+        assert h["tdm_victim_domain_completions"] <= 0.6 * victim_baseline
+        assert h["tdm_clean_domain_completions"] >= 0.95 * h[
+            "tdm_clean_domain_baseline"
+        ]
+        assert h["mitigated_victim_completions"] >= 0.95 * victim_baseline
+        assert h["mitigated_blocked_cores"] == 0
 
 
 class TestAblations:

@@ -5,8 +5,9 @@ path leans on a few facts to keep each of them cheap: both wires of a
 link are FIFOs, a retransmission buffer's dict keeps admission order,
 a flit's head/tail kind is fixed at construction, the SECDED byte-table
 fold equals the bit-by-bit code, the synthetic source draws exactly what
-``SeededStream.chance`` would, and every link with an ACK on its wire is
-in the active sets the ACK phase walks.
+``SeededStream.chance`` would, every link with an ACK on its wire is
+in the active sets the ACK phase walks, and a word crossing a link with
+no tamperer and no launch hook needs no SECDED round trip.
 """
 
 import random
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from repro.ecc import DecodeStatus, Secded
+from repro.faults import PermanentFault, StuckAtKind, TransientFaultModel
 from repro.noc import FlitType, Packet, PAPER_CONFIG
 from repro.noc.flit import Flit
 from repro.noc.link import AckMessage, Link, Transmission
@@ -25,6 +27,7 @@ from repro.traffic.synthetic import (
     uniform_random,
 )
 from tests.test_ecc_widths import WIDTHS
+from repro.util.rng import SeededStream
 from tests.test_noc_incremental import NETWORKS, offer, with_faults
 
 
@@ -283,6 +286,101 @@ def test_links_with_acks_are_in_the_active_sets(kind):
                 assert key[0] in net._active_routers
         net.step()
     assert with_acks > 100
+
+
+# -- SECDED only where a word can change -------------------------------------------
+class CountingCodec:
+    """The network's codec, counting the words launches encode."""
+
+    def __init__(self, codec):
+        self.codec = codec
+        self.encodes = 0
+
+    def encode(self, data):
+        self.encodes += 1
+        return self.codec.encode(data)
+
+
+def no_op_launch_hook(tx, cycle, original):
+    """Observes nothing; being a launch hook, it makes its link encode."""
+
+
+RECEIVER_COUNTERS = (
+    "flits_accepted", "flits_corrected", "faults_detected", "nacks_sent",
+    "deob_stall_cycles", "flits_discarded", "scrambles_resolved",
+)
+
+
+def protected_run(kind, seed, force_encode):
+    """A seeded run with transient double flips (or TASP), a stuck-at
+    wire and, on the mitigated network, a transient storm too; with
+    ``force_encode`` every link carries a launch hook."""
+    rng = random.Random(seed)
+    net = with_faults(kind)
+    width = net.codec.codeword_bits
+    keys = list(net.links)
+    net.attach_tamperer(
+        keys[4], PermanentFault.single(width, 20, StuckAtKind.ONE)
+    )
+    if kind == "mitigated":
+        net.attach_tamperer(
+            keys[13],
+            TransientFaultModel(
+                width, 0.2, SeededStream(seed, "storm"), double_fraction=0.5
+            ),
+        )
+    if force_encode:
+        for link in net.links.values():
+            link.launch_hooks.append(no_op_launch_hook)
+    codec = net.codec = CountingCodec(net.codec)
+    pkt_id = 0
+    for _ in range(200):
+        pkt_id = offer(net, rng, pkt_id, 0.05)
+        net.step()
+    net.run_until_drained(3000)
+    stats = net.stats
+    outcome = {
+        "stats": stats.summary(),
+        "packets": [
+            (r.pkt_id, r.created_cycle, r.head_injected_cycle,
+             r.tail_ejected_cycle, r.hops, r.retransmissions, r.misdelivered)
+            for r in stats.packets.values()
+        ],
+        "links": [
+            (link.traversals, link.corrupted_traversals)
+            for link in net.links.values()
+        ],
+        "receivers": [
+            tuple(
+                getattr(net.receiver_of(key), name, None)
+                for name in RECEIVER_COUNTERS
+            )
+            for key in net.links
+        ],
+    }
+    tampered_hops = sum(
+        link.traversals for link in net.links.values() if link.tamperers
+    )
+    return outcome, codec.encodes, tampered_hops
+
+
+@pytest.mark.parametrize("kind", sorted(NETWORKS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_encoding_only_alterable_links_changes_nothing(kind, seed):
+    """Forced-encode oracle: a no-op launch hook on every link sends
+    every word through SECDED, as every launch did before links without
+    a tamperer stopped encoding; the two runs must agree on every
+    statistic, packet timeline, traversal count and receiver counter."""
+    plain, plain_encodes, tampered_hops = protected_run(kind, seed, False)
+    forced, forced_encodes, _ = protected_run(kind, seed, True)
+    assert plain == forced
+    hops = sum(traversals for traversals, _ in forced["links"])
+    assert forced_encodes == hops
+    assert plain_encodes == tampered_hops < hops
+    # the runs corrected single flips and NACKed detected ones
+    receivers = forced["receivers"]
+    assert sum(counters[1] for counters in receivers) > 0
+    assert sum(counters[2] for counters in receivers) > 0
 
 
 # -- back-pressure sampling -------------------------------------------------------

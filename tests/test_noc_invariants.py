@@ -210,6 +210,32 @@ class TestValidatorDetectsCorruption:
         with pytest.raises(InvariantViolation):
             validator.check()
 
+    @pytest.mark.parametrize("state, sends", [("READY", 1), ("IN_FLIGHT", 2)])
+    def test_rearmed_entry_off_the_retrying_set_detected(self, state, sends):
+        """Only a NACK re-arms an entry, and the ACK phase then puts its
+        link on ``Network.retrying`` for the watchdog; an entry re-armed
+        anywhere else would hide from the ladder."""
+        from repro.noc.retrans import EntryState
+
+        net = Network(PAPER_CONFIG)
+        key = (0, Direction.EAST)
+        out = net.output_port_of(key)
+        flit = Packet(pkt_id=1, src_core=0, dst_core=4).build_flits(
+            PAPER_CONFIG
+        )[0]
+        entry = out.retrans.get(out.retrans.admit(flit, 0, 0, 0))
+        validator = NetworkValidator(net, families=("counters",))
+        entry.state, entry.send_count = EntryState.IN_FLIGHT, 1
+        validator.check()  # sent once, awaiting its ACK: not a retry
+        entry.state, entry.send_count = EntryState[state], sends
+        report = validator.check(raise_on_violation=False)
+        assert report.violations == [
+            f"link {key}: a re-armed retransmission entry on a link the "
+            "watchdog does not walk"
+        ]
+        net.retrying.add(key)
+        assert NetworkValidator(net, families=("counters",)).check().ok
+
     def test_report_collects_without_raise(self):
         net = Network(PAPER_CONFIG)
         out = net.output_port_of((0, Direction.EAST))

@@ -215,6 +215,112 @@ class TestSubscriberOverflow:
         assert manifest["events"]["queued"] == 8
 
 
+class TestFullQueuesFlush:
+    """The export subscription, drained only at the end of a run,
+    appends its queue to ``events.jsonl`` when it fills instead of
+    dropping."""
+
+    def test_small_queue_loses_nothing_and_replays_the_verdicts(
+        self, tmp_path
+    ):
+        from repro.experiments import fig11_backpressure as fig11
+        from repro.obs.exporters import read_events_jsonl
+        from repro.serve.classify import ZScoreClassifier
+        from repro.serve.pipeline import DetectionPipeline, replay_events
+
+        path = tmp_path / "events.jsonl"
+        # the runner's --obs-dir wiring, with the export queue far
+        # smaller than the run's event count
+        obs = enable_ambient(
+            ObsConfig(queue_capacity=1_000, events_jsonl=str(path))
+        )
+        pipeline = DetectionPipeline([ZScoreClassifier()]).attach(obs)
+        try:
+            # the trojan arms at 600 and is flagged within the window
+            fig11.run(warmup=600, window=300)
+        finally:
+            disable_ambient()
+        pipeline.finish()
+        events = obs.export()["events"]
+        assert events["published"] > 10 * 1_000
+        assert events["dropped"] == 0 and events["queued"] == 0
+        with open(path) as fh:
+            assert sum(1 for _ in fh) == events["published"]
+        replayed = replay_events(read_events_jsonl(path), [ZScoreClassifier()])
+        stream = pipeline.verdict_stream()
+        assert [v["subject"] for v in stream] == ["4->SOUTH"]
+        assert replayed.verdict_stream() == stream
+
+    @staticmethod
+    def _spilled_at_150(path):
+        """A run whose 4-event export queue has spilled by cycle 150,
+        and its checkpoint there."""
+        sim = Simulation(attacked_scenario(), obs=ObsConfig(
+            queue_capacity=4, events_jsonl=str(path)
+        ))
+        sim.advance_to(150)
+        assert sim.obs.events_written > 0
+        return sim, sim.snapshot()
+
+    @staticmethod
+    def _straight_lines(path):
+        straight = Simulation(attacked_scenario(), obs=ObsConfig(
+            queue_capacity=4, events_jsonl=str(path)
+        ))
+        straight.run()
+        straight.obs.export()
+        return path.read_text().splitlines(keepends=True)
+
+    def test_restored_run_rewrites_what_it_had_not_checkpointed(
+        self, tmp_path
+    ):
+        straight = self._straight_lines(tmp_path / "straight.jsonl")
+        path = tmp_path / "resumed.jsonl"
+        sim, checkpoint = self._spilled_at_150(path)
+        spilled = sim.obs.events_written
+        sim.run()  # the "killed" run spills past the checkpoint
+        assert spilled < sim.obs.events_written
+        resumed = Simulation.restore(checkpoint)
+        resumed.run()
+        resumed.obs.export()
+        assert resumed.obs.events_written == len(straight)
+        assert path.read_text() == "".join(straight)
+
+    def test_restored_run_whose_export_is_gone_starts_it_over(
+        self, tmp_path
+    ):
+        straight = self._straight_lines(tmp_path / "straight.jsonl")
+        path = tmp_path / "resumed.jsonl"
+        sim, checkpoint = self._spilled_at_150(path)
+        lost = sim.obs.events_written
+        path.unlink()
+        resumed = Simulation.restore(checkpoint)
+        resumed.run()
+        events = resumed.obs.export()["events"]
+        # the lines written before the checkpoint count as dropped
+        assert events["dropped"] == lost
+        assert path.read_text() == "".join(straight[lost:])
+        assert events["published"] == len(straight)
+
+    def test_replay_leaves_the_run_export_alone(self, tmp_path):
+        from repro.sim import planted_deadlock_scenario, replay_bundle
+        from repro.sim.sentinel import SentinelTrip
+
+        path = tmp_path / "events.jsonl"
+        sim = Simulation(planted_deadlock_scenario(), obs=ObsConfig(
+            queue_capacity=4, events_jsonl=str(path)
+        ))
+        sim.enable_forensics(tmp_path / "fx", snapshot_every=50)
+        with pytest.raises(SentinelTrip) as excinfo:
+            sim.run()
+        assert path.exists()
+        path.unlink()
+        replayed = replay_bundle(excinfo.value.repro_bundle)
+        assert isinstance(replayed, SentinelTrip)
+        assert replayed.cycle == excinfo.value.cycle
+        assert not path.exists()
+
+
 class TestWatchdogEscalations:
     def test_event_hooks_fire_through_the_ladder_log(self):
         from repro.obs.instrument import _EscalateHook

@@ -294,6 +294,18 @@ class TestWatchdogConfig:
         with pytest.raises(ValueError):
             WatchdogConfig(backoff_base=0)
 
+    def test_rejects_backing_off_a_first_send(self):
+        """A port that never took a NACK holds entries sent at most
+        once; a ladder starting there would act on unwatched ports."""
+        with pytest.raises(ValueError, match="backoff_after"):
+            WatchdogConfig(backoff_after=1)
+        WatchdogConfig(backoff_after=2)
+
+    def test_rejects_condemning_a_link_that_never_dropped(self):
+        with pytest.raises(ValueError, match="condemn_after_drops"):
+            WatchdogConfig(condemn_after_drops=0)
+        WatchdogConfig(condemn_after_drops=1)
+
     def test_default_ladder_is_ordered(self):
         cfg = WatchdogConfig()
         assert cfg.backoff_after < cfg.obfuscate_after < cfg.max_retries
@@ -331,6 +343,173 @@ def test_ladder_visits_links_in_canonical_order():
         out = net.output_port_of(key)
         entry = out.retrans.get(out.retrans.admit(flit, 0, 0, 0))
         entry.send_count = watchdog.config.max_retries
+    # the send counts were planted without a NACK, so the links are put
+    # on the watched set by hand
+    net.retrying.update(pinned)
     watchdog.on_cycle(net, 10)
     assert set(asked) == set(pinned)
     assert asked == sorted(asked, key=keys.index)
+
+
+# -- the watched links against a full scan --------------------------------------
+class RecordingWatchdog(RetransWatchdog):
+    """The shipped ladder, recording every rung and every gate call."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.logged = []
+        self.gate_calls = []
+        self.event_hooks.append(self.logged.append)
+
+    def _gate_allows(self, stage, key, cycle):
+        allowed = super()._gate_allows(stage, key, cycle)
+        self.gate_calls.append((stage, key, cycle, allowed))
+        return allowed
+
+    def record(self):
+        return (
+            self.logged,
+            self.gate_calls,
+            self.backoffs_applied,
+            self.obfuscations_forced,
+            self.packets_dropped,
+            self.links_condemned,
+            self.partition_risks,
+        )
+
+
+class FullScanWatchdog(RecordingWatchdog):
+    """The reference ladder: every output port every cycle, in canonical
+    link order, as it ran before it kept to ``Network.retrying`` and the
+    links it dropped on."""
+
+    def on_cycle(self, network, cycle):
+        from repro.noc.retrans import EntryState
+
+        cfg = self.config
+        for key, wires in network._wiring.items():
+            out = wires[3]
+            if not out.retrans._entries:
+                continue
+            condemned = key in self._condemned
+            thresholds = self._ladder_thresholds(key)
+            obfuscate_after, max_retries, _, _ = thresholds
+            ladder_active = False
+            for entry in list(out.retrans._entries.values()):
+                sends = entry.send_count
+                if sends < cfg.backoff_after:
+                    continue
+                ladder_active = True
+                if (
+                    sends >= max_retries
+                    and entry.state is EntryState.READY
+                    and self._gate_allows(EscalationStage.DROP, key, cycle)
+                ):
+                    self._drop(network, key, entry, cycle)
+                    continue
+                if (
+                    sends >= obfuscate_after
+                    and not condemned
+                    and self._gate_allows(
+                        EscalationStage.OBFUSCATE, key, cycle
+                    )
+                ):
+                    self._force_obfuscation(network, key, entry, cycle)
+                self._apply_backoff(network, key, entry, cycle)
+            if not condemned:
+                self._maybe_condemn(
+                    network, key, cycle, ladder_active, out, thresholds
+                )
+        self._prune(network, list(network._wiring))
+
+
+def ladder_records(monkeypatch, watchdog_cls, run):
+    """``run()``'s outcome and the records of every watchdog the
+    simulations it builds attach, all of class ``watchdog_cls``."""
+    from repro.sim import engine
+
+    made = []
+
+    class Made(watchdog_cls):
+        def __init__(self, config=None):
+            super().__init__(config)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "RetransWatchdog", Made)
+    outcome = run()
+    assert made
+    return outcome, [watchdog.record() for watchdog in made]
+
+
+def assert_ladders_agree(monkeypatch, run):
+    watched = ladder_records(monkeypatch, RecordingWatchdog, run)
+    full = ladder_records(monkeypatch, FullScanWatchdog, run)
+    assert watched == full
+    return watched
+
+
+def fuzz_campaign(seed):
+    from tests.test_resilience_campaigns import fuzz_scenario
+
+    return ChaosCampaign(
+        CampaignSpec(fuzz_scenario(seed), validate_every=7)
+    ).run()
+
+
+# test_resilience_campaigns.py::test_fuzz_exercises_the_whole_ladder
+# shows these seeds reach drops, condemnations and epoch recovery
+@pytest.mark.parametrize("seed", [*range(64), 311])
+def test_watched_ladder_matches_full_scan_on_fuzz(monkeypatch, seed):
+    report, _ = assert_ladders_agree(
+        monkeypatch, lambda: fuzz_campaign(seed)
+    )
+    assert report.violations == ()
+
+
+def test_watched_ladder_matches_full_scan_on_chaos_campaigns(monkeypatch):
+    from repro.experiments import chaos
+
+    specs = chaos.campaigns()
+    laddered = [s for s in specs if s.scenario.defense.watchdog is not None]
+    # the third campaign builds no ladder to compare
+    assert [s.scenario.name for s in specs if s not in laddered] == [
+        "no-watchdog"
+    ]
+    for spec in laddered:
+        assert_ladders_agree(monkeypatch, ChaosCampaign(spec).run)
+
+
+def test_watched_ladder_matches_full_scan_under_containment(monkeypatch):
+    """The containment coordinator gates the rungs and draws jitter per
+    denial, so its calls must come in the full scan's order."""
+    from repro.resilience.containment import ContainmentConfig
+    from repro.sim import Simulation, SyntheticTraffic
+
+    scenario = Scenario(
+        name="contained",
+        cfg=PAPER_CONFIG,
+        traffic=(
+            SyntheticTraffic(injection_rate=0.04, duration=900, seed=5),
+        ),
+        trojans=(
+            TrojanSpec((5, Direction.EAST), TargetSpec.for_vc(0),
+                       enable_at=100),
+            TrojanSpec((5, Direction.NORTH), TargetSpec.for_vc(0),
+                       enable_at=100),
+        ),
+        defense=DefenseSpec(
+            watchdog=WatchdogConfig(),
+            containment=ContainmentConfig(max_actions_per_cycle=1),
+        ),
+        duration=1200,
+        seed=9,
+    )
+
+    def run():
+        sim = Simulation(scenario)
+        result = sim.run()
+        return result, sim.containment.summary()
+
+    _, records = assert_ladders_agree(monkeypatch, run)
+    (logged, gate_calls, *_), = records
+    assert logged and any(not allowed for *_, allowed in gate_calls)

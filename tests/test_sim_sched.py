@@ -408,3 +408,132 @@ class TestEventCheckpoints:
 
         straight = Simulation(scenario, engine="sweep").run()
         assert result == straight
+
+
+# ---------------------------------------------------------------------------
+# pinned_by: the hook behind each landing
+# ---------------------------------------------------------------------------
+def sparse_event_scenario(seed: int = 1, packets: int = 60) -> Scenario:
+    """The shape of the sparse-event-mesh4 benchmark: the paper's 4x4
+    L-Ob mesh, one TASP trojan, the watchdog, packets between random
+    distinct cores with exponential gaps of mean 300 cycles, and no
+    sampling."""
+    import random
+
+    from repro.core.targets import TargetSpec
+    from repro.noc.config import PAPER_CONFIG
+    from repro.noc.topology import Direction
+    from repro.resilience.watchdog import WatchdogConfig
+    from repro.sim import DefenseSpec, ExplicitTraffic, PacketSpec, TrojanSpec
+
+    rng = random.Random(seed)
+    cores = PAPER_CONFIG.num_cores
+    cycle = 0
+    specs = []
+    for pkt_id in range(packets):
+        cycle += max(1, round(rng.expovariate(1 / 300)))
+        src = rng.randrange(cores)
+        dst = rng.randrange(cores - 1)
+        specs.append(
+            PacketSpec(
+                pkt_id=pkt_id, src_core=src, dst_core=dst + (dst >= src),
+                inject_at=cycle, mem_addr=rng.getrandbits(32),
+                payload=(rng.getrandbits(64), rng.getrandbits(64)),
+            )
+        )
+    return Scenario(
+        name="sparse-event",
+        cfg=PAPER_CONFIG,
+        traffic=(ExplicitTraffic(packets=tuple(specs)),),
+        trojans=(
+            TrojanSpec(
+                link=(0, Direction.EAST), target=TargetSpec.for_dest(1)
+            ),
+        ),
+        defense=DefenseSpec(mitigated=True, watchdog=WatchdogConfig()),
+        max_cycles=cycle + 5000,
+        sample_interval=0,
+        seed=seed,
+    )
+
+
+def attack_quiescent_scenario() -> Scenario:
+    """The engine bench's attack-quiescent run at its quick size: a
+    short flood through the infected link, then sparse probes."""
+    from repro.core.targets import TargetSpec
+    from repro.noc.config import PAPER_CONFIG
+    from repro.noc.topology import Direction
+    from repro.resilience.watchdog import WatchdogConfig
+    from repro.sim import (
+        DefenseSpec,
+        ExplicitTraffic,
+        FloodTraffic,
+        PacketSpec,
+        TrojanSpec,
+    )
+
+    probes = tuple(
+        PacketSpec(pkt_id=100 + i, src_core=2,
+                   dst_core=PAPER_CONFIG.core_of(13, 0),
+                   mem_addr=0x200, inject_at=400 + i * 8000)
+        for i in range(3)
+    )
+    return Scenario(
+        name="attack-quiescent",
+        cfg=PAPER_CONFIG,
+        traffic=(
+            FloodTraffic(
+                rogue_cores=(0,),
+                victim_cores=(PAPER_CONFIG.core_of(15, 1),),
+                rate=0.5,
+                stop_cycle=120,
+                seed=3,
+            ),
+            ExplicitTraffic(packets=probes),
+        ),
+        trojans=(
+            TrojanSpec((0, Direction.EAST), TargetSpec.for_dest(15)),
+        ),
+        defense=DefenseSpec(mitigated=True, watchdog=WatchdogConfig()),
+        max_cycles=400 + 3 * 8000 + 6000,
+        stall_limit=8000 + 2000,
+        sample_interval=0,
+    )
+
+
+PINNED_SCENARIOS = {
+    "sparse-event": sparse_event_scenario,
+    "attack-quiescent": attack_quiescent_scenario,
+}
+
+
+class TestPinnedBy:
+    @pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+    def test_every_landing_names_one_hook(self, name):
+        scenario = PINNED_SCENARIOS[name]()
+        sweep = Simulation(scenario, engine="sweep")
+        event = Simulation(scenario, engine="event")
+        rs, re_ = sweep.run(), event.run()
+        assert rs == re_
+        assert canonical(rs, sweep.network) == canonical(re_, event.network)
+        core = event.event_core
+        assert core.leaps > 0
+        assert sum(core.pinned_by.values()) == core.decisions - core.leaps
+        # a landing after a leap is the leap's; the rest are pinned,
+        # mostly by flits still moving
+        assert core.pinned_by["component"] > core.decisions // 2
+        assert core.pinned_by.keys() <= {
+            "component", "traffic", "monitor:RetransWatchdog", "wheel",
+            "stall-abort",
+        }
+
+    def test_pins_survive_a_checkpoint(self):
+        scenario = sparse_event_scenario(packets=20)
+        straight = Simulation(scenario, engine="event")
+        straight.run()
+        sim = Simulation(scenario, engine="event")
+        sim.advance_to(1500)
+        resumed = Simulation.restore(sim.snapshot())
+        assert resumed.event_core.pinned_by == sim.event_core.pinned_by
+        resumed.run()
+        assert resumed.event_core.pinned_by == straight.event_core.pinned_by
