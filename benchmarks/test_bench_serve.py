@@ -27,7 +27,7 @@ from repro.noc.topology import Direction
 from repro.obs.instrument import ObsConfig, Observability
 from repro.obs.perf import percentile
 from repro.resilience.detect import DetectConfig
-from repro.serve.pipeline import DEFAULT_CAPACITY, run_streaming
+from repro.serve.pipeline import run_streaming
 from repro.sim import (
     DefenseSpec,
     Scenario,
@@ -96,7 +96,6 @@ def test_bench_serve_verdict_latency(record_samples, bench_meta):
     elapsed = time.perf_counter() - started
 
     assert run.verdicts, "the attack never produced a verdict"
-    assert run.dropped == 0
     latencies = [float(v.cycle - ENABLE_AT) for v in run.verdicts]
     assert all(lat > 0 for lat in latencies)
     p50 = percentile(latencies, 0.5)
@@ -126,13 +125,10 @@ def test_bench_serve_verdict_latency(record_samples, bench_meta):
 
 def _instrumented_run():
     """The pipeline's baseline: the identical run carrying the
-    events-only bundle :func:`run_streaming` itself builds, with no
-    pipeline consuming it."""
-    obs = Observability(
-        ObsConfig(
-            metrics=False, window=0, queue_capacity=DEFAULT_CAPACITY
-        )
-    )
+    events-only bundle :func:`run_streaming` itself builds, with a list
+    sink in the pipeline's place, so every event is still built."""
+    obs = Observability(ObsConfig(metrics=False, window=0))
+    obs.bus.sinks.append([].append)
     return Simulation(_benign_scenario(), obs=obs).run()
 
 
@@ -158,7 +154,6 @@ def test_bench_serve_streaming_overhead(record_samples, bench_meta):
     assert dataclasses.asdict(streamed.result) == dataclasses.asdict(
         bare_result
     )
-    assert streamed.dropped == 0
     assert [v for v in streamed.verdicts if v.kind == "suspect_link"] == []
 
     best = {name: min(samples) for name, samples in times.items()}

@@ -185,10 +185,10 @@ def run_experiment(
                     prometheus=str(obs_root / "metrics.prom"),
                 )
             )
-            # streaming detection riding the same bus: the z-score
-            # classifier (no scenario here; a link's channel is
-            # back-filled when first seen) folds the event stream into
-            # the embedded verdict_stream
+            # streaming detection as a second sink on the same bus:
+            # the z-score classifier (no scenario here; a link's
+            # channel is back-filled when first seen) folds each event
+            # as it is published into the embedded verdict_stream
             pipeline = DetectionPipeline([ZScoreClassifier()]).attach(obs)
         try:
             result = module.run(**_seed_kwargs(module, seed))

@@ -6,10 +6,12 @@ may alter each codeword in flight.  The reverse ACK/NACK wires of the
 link are modelled as a separate delayed queue — per the paper's threat
 model the trojan taps the forward data wires only.
 
-Tampering happens only at launch, so a link with no tamperer and no
-launch hook carries its words unencoded: a SECDED round trip of an
-unaltered word returns that word with status OK, which is what the
-receiver assumes of a transmission without a codeword.
+Tampering happens only at launch, so a link with no tamperer carries
+its words unencoded: a SECDED round trip of an unaltered word returns
+that word with status OK, which is what the receiver assumes of a
+transmission without a codeword.  Launch hooks only observe, so they
+do not need the codeword: on an unencoded link they see
+``tx.codeword is None == original``, an uncorrupted launch.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Transmission:
     #: per-(link, VC) sequence number for receiver-side resequencing
     vc_seq: int
     #: the SECDED codeword after the tamper chain, or None when the link
-    #: had no tamperer and no launch hook at launch
+    #: had no tamperer at launch
     codeword: Optional[int]
     flit: "Flit"
     ob: Optional["ObDescriptor"]
@@ -139,7 +141,7 @@ class Link:
     def launch(self, tx: Transmission, cycle: int) -> None:
         """Put a transmission on the wire; tampering happens here, so a
         transmission without a codeword must only be launched on a link
-        with no tamperer and no launch hook."""
+        with no tamperer."""
         codeword = original = tx.codeword
         # apply_tamper inlined: one launch per flit-hop
         for tamperer in self.tamperers:

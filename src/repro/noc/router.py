@@ -595,9 +595,11 @@ class Router:
         """Launch one ready flit per output link; returns the keys of
         the links launched on.
 
-        A word is SECDED-encoded only for a link with a tamperer or a
-        launch hook: nothing else can alter it before the receiver, and
-        there a clean decode returns the word itself.
+        A word is SECDED-encoded only for a link with a tamperer:
+        nothing else can alter it before the receiver, and there a
+        clean decode returns the word itself.  A launch hook on an
+        unencoded link sees ``tx.codeword is None == original``, so it
+        observes no corruption.
         """
         launched = []
         policy = self.policy
@@ -640,9 +642,7 @@ class Router:
             link.launch(
                 Transmission(
                     entry.tag, entry.out_vc, entry.vc_seq,
-                    codec.encode(data)
-                    if link.tamperers or link.launch_hooks
-                    else None,
+                    codec.encode(data) if link.tamperers else None,
                     entry.flit, descriptor, cycle, data,
                 ),
                 cycle,

@@ -8,8 +8,9 @@ whole stack emits that visibility into:
 * :mod:`repro.obs.registry` — a metrics registry (counters, gauges,
   histograms with label sets; near-zero-cost no-op handles when
   disabled);
-* :mod:`repro.obs.events` — a typed, versioned-schema event bus with
-  bounded-queue subscribers that never block the simulation;
+* :mod:`repro.obs.events` — a typed, versioned-schema event bus that
+  hands each event to its sinks (the ``events.jsonl`` export, the
+  verdict pipeline); with no sink it builds no event;
 * :mod:`repro.obs.series` — cycle-windowed time-series rollups (the
   generalization of :class:`repro.noc.stats.Sample`) suitable for
   Fig. 11/12-style back-pressure heatmaps and detector research;
@@ -44,7 +45,6 @@ from repro.obs.events import (
     Event,
     EventBus,
     EventSchemaError,
-    Subscription,
 )
 from repro.obs.registry import MetricsRegistry, NOOP_METRIC
 from repro.obs.series import SampleSeries, WindowedSeries
@@ -80,7 +80,6 @@ __all__ = [
     "ObsConfig",
     "PhaseProfiler",
     "SampleSeries",
-    "Subscription",
     "WindowedSeries",
     "ambient",
     "disable_ambient",

@@ -8,19 +8,17 @@ the data keys it may carry, and every serialized event carries the
 schema version (:data:`EVENT_SCHEMA_VERSION`), so a JSONL stream from
 one build is validated — not guessed at — by another.
 
-The :class:`EventBus` is deliberately boring: ``publish`` appends to
-each subscriber's bounded queue and **never blocks or raises**.  A
-full queue counts a drop on that subscription instead of stalling the
-simulation — observability must not be able to change simulated
-behaviour (the determinism proof in ``tests/test_obs_integration.py``
-depends on it).
+The :class:`EventBus` is deliberately boring: ``emit`` hands each
+event to every sink in turn, and with no sink it builds nothing.
+Sinks only read events — observability must not be able to change
+simulated behaviour (the determinism proof in
+``tests/test_obs_integration.py`` depends on it).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 #: bump on incompatible changes to Event layout or kind semantics
 #: (v2 adds the recovery loop: probe / reinstate / flap_damp / detect;
@@ -132,96 +130,32 @@ def event_from_dict(payload: dict) -> Event:
     )
 
 
-class Subscription:
-    """A bounded event queue owned by one consumer.
+class EventBus:
+    """Hands each published :class:`Event` to every sink, in order.
 
-    The bus appends to it; the consumer :meth:`drain`\\ s it.  When the
-    queue is full and the consumer gave no ``flush``, new events are
-    *dropped and counted* — never blocked on — so a slow or absent
-    consumer cannot stall the simulation.  A consumer that drains only
-    at the end of a run (the ``events.jsonl`` export) passes ``flush``
-    instead: the bus calls it on a full queue, it drains the queue into
-    the consumer, and nothing is dropped while memory stays bounded by
-    ``capacity``.
+    A sink is any callable taking one event.  Sinks must be picklable
+    (module-level classes or bound methods, never closures), the rule
+    the hook classes follow, so an observed simulation still pickles
+    through :mod:`repro.sim.checkpoint`.
     """
 
-    __slots__ = ("capacity", "queue", "dropped", "received", "flush")
-
-    def __init__(
-        self, capacity: int, flush: Optional[Callable[[], object]] = None
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("subscription capacity must be positive")
-        self.capacity = capacity
-        self.queue: deque[Event] = deque()
-        self.dropped = 0
-        self.received = 0
-        #: drains the full queue into its consumer (None: drop instead);
-        #: a bound method, so an instrumented simulation still pickles
-        self.flush = flush
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-    def drain(self) -> list[Event]:
-        """All queued events, removing them (oldest first)."""
-        out = list(self.queue)
-        self.queue.clear()
-        return out
-
-    def peek(self) -> Iterator[Event]:
-        return iter(self.queue)
-
-
-class EventBus:
-    """Fan-out of :class:`Event` values to bounded subscriptions."""
-
     def __init__(self) -> None:
-        self.subscriptions: list[Subscription] = []
+        #: called with every event, in publish order
+        self.sinks: list[Callable[[Event], object]] = []
         self.published = 0
-
-    @property
-    def active(self) -> bool:
-        """True when anyone is listening (hooks use this to skip the
-        Event construction entirely on the disabled path)."""
-        return bool(self.subscriptions)
-
-    def subscribe(
-        self,
-        capacity: int = 200_000,
-        flush: Optional[Callable[[], object]] = None,
-    ) -> Subscription:
-        """A new subscription; see :class:`Subscription` for ``flush``."""
-        sub = Subscription(capacity, flush)
-        self.subscriptions.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        try:
-            self.subscriptions.remove(sub)
-        except ValueError:
-            pass
-
-    def publish(self, event: Event) -> None:
-        self.published += 1
-        for sub in self.subscriptions:
-            if len(sub.queue) >= sub.capacity:
-                if sub.flush is None:
-                    sub.dropped += 1
-                    continue
-                sub.flush()
-            sub.queue.append(event)
-            sub.received += 1
 
     def emit(
         self, kind: str, cycle: int, run: str = "", **data
     ) -> Optional[Event]:
-        """Build and publish in one call; returns the event, or None
-        when nobody is subscribed (nothing is built in that case)."""
-        if not self.subscriptions:
+        """Build the event and hand it to every sink; returns it, or
+        None when no sink listens (nothing is built in that case)."""
+        sinks = self.sinks
+        if not sinks:
             return None
         event = Event(kind=kind, cycle=cycle, run=run, data=data)
-        self.publish(event)
+        self.published += 1
+        for sink in sinks:
+            sink(event)
         return event
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Iterator, TYPE_CHECKING
 
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
@@ -62,9 +62,10 @@ def write_events_jsonl(
     return count
 
 
-def read_events_jsonl(path: "str | Path") -> list[Event]:
-    """Parse and schema-validate a JSONL event stream."""
-    events = []
+def iter_events_jsonl(path: "str | Path") -> Iterator[Event]:
+    """Parse and schema-validate a JSONL event stream one line at a
+    time, so no more than one event is held; a bad line raises
+    :class:`ObsExportError` naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -77,17 +78,22 @@ def read_events_jsonl(path: "str | Path") -> list[Event]:
                     f"{path}:{lineno}: not JSON: {exc}"
                 ) from exc
             try:
-                events.append(event_from_dict(payload))
+                event = event_from_dict(payload)
             except EventSchemaError as exc:
                 raise ObsExportError(
                     f"{path}:{lineno}: {exc}"
                 ) from exc
-    return events
+            yield event
+
+
+def read_events_jsonl(path: "str | Path") -> list[Event]:
+    """Every event of a JSONL stream, validated."""
+    return list(iter_events_jsonl(path))
 
 
 def validate_events_jsonl(path: "str | Path") -> int:
     """Number of valid events in the stream (raises on any bad one)."""
-    return len(read_events_jsonl(path))
+    return sum(1 for _ in iter_events_jsonl(path))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +152,7 @@ def build_manifest(obs: "Observability") -> dict:
     """The per-run metrics.json payload for one observability bundle."""
     from repro.obs import profiler
 
-    if not obs.config.enabled:
-        return disabled_manifest()
-    sub = obs.export_sub
+    sink = obs.export_sink
     manifest = {
         "format": METRICS_FORMAT,
         "enabled": True,
@@ -157,8 +161,8 @@ def build_manifest(obs: "Observability") -> dict:
         "metrics": obs.registry.snapshot(),
         "events": {
             "published": obs.bus.published,
-            "queued": len(sub) if sub is not None else 0,
-            "dropped": sub.dropped if sub is not None else 0,
+            "queued": len(sink.batch) if sink is not None else 0,
+            "dropped": obs.events_dropped,
         },
         "series": (
             obs.series.to_jsonable() if obs.series is not None else None
@@ -246,7 +250,7 @@ def export_all(obs: "Observability") -> dict:
     """Write every export path configured on the bundle's ObsConfig;
     returns the manifest (built even when no path is configured)."""
     config = obs.config
-    if config.events_jsonl and obs.export_sub is not None:
+    if obs.export_sink is not None:
         obs.spill_events()
     manifest = build_manifest(obs)
     if config.metrics_json:

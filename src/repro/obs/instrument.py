@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TYPE_CHECKING
 
-from repro.obs.events import EventBus, Subscription
+from repro.obs.events import Event, EventBus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.series import WindowedSeries
 
@@ -37,25 +37,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
 
 
+#: events the ``events_jsonl`` sink buffers before it appends them to
+#: the file (a file handle cannot be pickled into a checkpoint, so the
+#: sink holds a batch instead of an open file)
+EXPORT_BATCH = 10_000
+
+
 @dataclass(frozen=True)
 class ObsConfig:
     """What to observe and where to export it.
 
-    ``enabled=False`` turns the whole layer off: :meth:`Observability.attach`
-    then attaches nothing, so the per-cycle cost is literally zero.
+    ``obs=None`` is "off".  Events are built only while a sink listens
+    on the bus: the ``events_jsonl`` export, or one attached by hand
+    (the verdict pipeline, a test's list).
     """
 
-    enabled: bool = True
     #: collect metrics (counters/gauges/histograms)
     metrics: bool = True
-    #: publish structured events to the export subscription
-    events: bool = True
     #: back-pressure series window in cycles (0 disables the series)
     window: int = 64
-    #: export subscription bound: a full queue is appended to
-    #: ``events_jsonl`` when that is set, and drops events otherwise
-    #: (it never blocks)
-    queue_capacity: int = 200_000
     #: JSONL event stream path (None: no file export)
     events_jsonl: Optional[str] = None
     #: metrics.json manifest path (None: no file export)
@@ -81,7 +81,7 @@ class _InjectHook:
     def __call__(self, flit, cycle: int) -> None:
         self.counter.inc()
         bus = self.obs.bus
-        if bus.subscriptions and self.obs.config.events:
+        if bus.sinks:
             bus.emit(
                 "inject", cycle, self.run,
                 pkt_id=flit.pkt_id, seq=flit.seq, core=flit.src_core,
@@ -101,7 +101,7 @@ class _EjectHook:
     def __call__(self, flit, cycle: int, core: int) -> None:
         self.counter.inc()
         bus = self.obs.bus
-        if bus.subscriptions and self.obs.config.events:
+        if bus.sinks:
             bus.emit(
                 "deliver", cycle, self.run,
                 pkt_id=flit.pkt_id, seq=flit.seq, core=core,
@@ -123,7 +123,7 @@ class _LaunchHook:
 
     def __call__(self, tx, cycle: int, original: int) -> None:
         obs = self.obs
-        events = obs.config.events and obs.bus.subscriptions
+        events = obs.bus.sinks
         if tx.codeword != original:
             self.corrupted.inc()
             if events:
@@ -170,7 +170,7 @@ class _AckHook:
             return
         self.nacks.inc()
         obs = self.obs
-        if obs.config.events and obs.bus.subscriptions:
+        if obs.bus.sinks:
             obs.bus.emit(
                 "retransmit", cycle, self.run,
                 pkt_id=flit.pkt_id if flit is not None else None,
@@ -194,7 +194,7 @@ class _EscalateHook:
             "watchdog_escalations", "ladder rungs taken",
             run=self.run, stage=event.stage.value,
         ).inc()
-        if obs.config.events and obs.bus.subscriptions:
+        if obs.bus.sinks:
             obs.bus.emit(
                 "escalate", event.cycle, self.run,
                 link=link_label(event.link), stage=event.stage.value,
@@ -217,7 +217,7 @@ class _ContainHook:
             "containment_events", "coordinator decisions taken",
             run=self.run, action=event.kind,
         ).inc()
-        if obs.config.events and obs.bus.subscriptions:
+        if obs.bus.sinks:
             label = (
                 link_label(event.link) if event.link is not None else None
             )
@@ -251,7 +251,7 @@ class _DetectHook:
             "detector_flags", "traffic-statistics channels flagged",
             run=self.run, kind=event.kind,
         ).inc()
-        if obs.config.events and obs.bus.subscriptions:
+        if obs.bus.sinks:
             obs.bus.emit(
                 "detect", event.cycle, self.run,
                 link=(
@@ -278,7 +278,7 @@ class _LocalizeHook:
             "localize_estimates", "attacker placements named",
             run=self.run,
         ).inc()
-        if obs.config.events and obs.bus.subscriptions:
+        if obs.bus.sinks:
             obs.bus.emit(
                 "localize", event.cycle, self.run,
                 link=link_label(event.link), router=event.router,
@@ -372,11 +372,26 @@ class _WindowCollector:
                 "detector verdict transitions",
                 run=run, verdict=verdict.value,
             ).inc()
-            if obs.config.events and obs.bus.subscriptions:
+            if obs.bus.sinks:
                 obs.bus.emit(
                     "verdict", cycle, run,
                     link=link_label(key), verdict=verdict.value,
                 )
+
+
+class _ExportSink:
+    """``bus.sinks`` member: batches events for ``events_jsonl``."""
+
+    def __init__(self, obs: "Observability"):
+        self.obs = obs
+        #: events not yet appended to the file
+        self.batch: list[Event] = []
+
+    def __call__(self, event: Event) -> None:
+        batch = self.batch
+        batch.append(event)
+        if len(batch) >= EXPORT_BATCH:
+            self.obs.spill_events()
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +403,20 @@ class Observability:
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config or ObsConfig()
-        enabled = self.config.enabled
-        self.registry = MetricsRegistry(
-            enabled=enabled and self.config.metrics
-        )
+        self.registry = MetricsRegistry(enabled=self.config.metrics)
         self.bus = EventBus()
-        self.export_sub: Optional[Subscription] = None
-        #: events appended to ``events_jsonl`` so far, and its size then
+        #: the ``events_jsonl`` sink (None: no file export)
+        self.export_sink: Optional[_ExportSink] = None
+        #: events appended to ``events_jsonl`` so far, its size then,
+        #: and lines a restored run found gone (see spill_events)
         self.events_written = 0
         self.events_bytes = 0
-        if enabled and self.config.events:
-            self.export_sub = self.bus.subscribe(
-                self.config.queue_capacity,
-                self.spill_events if self.config.events_jsonl else None,
-            )
+        self.events_dropped = 0
+        if self.config.events_jsonl:
+            self.export_sink = _ExportSink(self)
+            self.bus.sinks.append(self.export_sink)
         self.series: Optional[WindowedSeries] = None
-        if enabled and self.config.window > 0:
+        if self.config.window > 0:
             self.series = WindowedSeries(self.config.window, agg="max")
         #: scenario names attached so far, in order
         self.runs: list[str] = []
@@ -413,8 +426,6 @@ class Observability:
     # -- attachment ------------------------------------------------------
     def attach(self, sim: "Simulation") -> "Observability":
         """Thread this instance through one simulation's hook points."""
-        if not self.config.enabled:
-            return self
         # code that steps its simulation itself (advance_to, step,
         # run_until_drained) never finalizes it: do it now, so its
         # series window closes before this run's opens
@@ -435,8 +446,6 @@ class Observability:
     def attach_network(self, network: "Network", run: str = "") -> None:
         from repro.obs.collectors import link_label
 
-        if not self.config.enabled:
-            return
         self.runs.append(run)
         network.injection_hooks.append(_InjectHook(self, run))
         network.ejection_hooks.append(_EjectHook(self, run))
@@ -451,7 +460,7 @@ class Observability:
 
     # -- engine notifications -------------------------------------------
     def notify_checkpoint(self, sim: "Simulation", path=None) -> None:
-        if self.config.events and self.bus.subscriptions:
+        if self.bus.sinks:
             cycle = sim.network.cycle
             self.bus.emit(
                 "checkpoint", cycle, sim.scenario.name,
@@ -462,7 +471,7 @@ class Observability:
     def on_failure(self, sim: "Simulation", exc: BaseException) -> None:
         """Record a run-killing exception, then take the final scrape
         (the registry keeps whatever the dying network counted)."""
-        if self.config.events and self.bus.subscriptions:
+        if self.bus.sinks:
             from repro.sim.forensics import failure_signature
 
             self.bus.emit(
@@ -493,9 +502,9 @@ class Observability:
 
     # -- output ----------------------------------------------------------
     def spill_events(self) -> None:
-        """Append the export queue to ``events_jsonl`` (the first call
-        starts the file): the export subscription's flush when it
-        fills, and the last step of :meth:`export`."""
+        """Append the export batch to ``events_jsonl`` (the first call
+        starts the file): the export sink's step when its batch is
+        full, and the last step of :meth:`export`."""
         from repro.obs.exporters import write_events_jsonl
 
         path = Path(self.config.events_jsonl)
@@ -505,13 +514,15 @@ class Observability:
             # the file starts over and they count as dropped
             size = path.stat().st_size if path.exists() else -1
             if size < self.events_bytes:
-                self.export_sub.dropped += self.events_written
+                self.events_dropped += self.events_written
                 self.events_written = 0
             elif size > self.events_bytes:
                 os.truncate(path, self.events_bytes)
+        batch = self.export_sink.batch
         self.events_written += write_events_jsonl(
-            path, self.export_sub.drain(), append=self.events_written > 0
+            path, batch, append=self.events_written > 0
         )
+        batch.clear()
         self.events_bytes = path.stat().st_size
 
     def manifest(self) -> dict:

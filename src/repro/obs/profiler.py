@@ -67,23 +67,18 @@ class PhaseProfiler:
         self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         self.calls[phase] = self.calls.get(phase, 0) + 1
 
-    def reattribute(
-        self, seconds: float, target: str, source: Optional[str] = None
-    ) -> None:
+    def reattribute(self, seconds: float, target: str, source: str) -> None:
         """Charge ``seconds`` to ``target``, debiting ``source``.
 
         For work nested inside another phase's lap (the localizer runs
         inside the detector's monitor slot): the enclosing lap will
         charge the whole interval to ``source`` later, so the debit
         here nets the nested share out without double-counting the
-        total.  With ``source=None`` the seconds are simply added
-        (nothing encloses the work — e.g. the serving pipeline driving
-        the localizer outside the cycle loop).
+        total.
         """
         self.seconds[target] = self.seconds.get(target, 0.0) + seconds
         self.calls[target] = self.calls.get(target, 0) + 1
-        if source is not None:
-            self.seconds[source] = self.seconds.get(source, 0.0) - seconds
+        self.seconds[source] = self.seconds.get(source, 0.0) - seconds
 
     def total(self) -> float:
         return sum(self.seconds.values())

@@ -120,12 +120,6 @@ class _Footprint:
 class TopologyLocalizer:
     """Fuses detector footprints into ranked attacker placements."""
 
-    #: phase the enclosing lap charges this hook's time to — the
-    #: localizer runs inside the detector's monitor slot, so its share
-    #: is reattributed out of "detect" when profiling is armed.  The
-    #: serving pipeline (no enclosing lap) sets this to ``None``.
-    profile_source: Optional[str] = "detect"
-
     def __init__(
         self, cfg: NoCConfig, config: Optional[LocalizeConfig] = None
     ):
@@ -192,14 +186,16 @@ class TopologyLocalizer:
     # -- clustering and scoring ----------------------------------------
     def _refresh(self, cycle: int) -> None:
         prof = obs_profiler.current()
-        if prof is None:
+        if prof is None or self.detector is None:
+            # fed by the verdict pipeline, the localizer runs inside
+            # whichever lap published the event: its time stays there
             self._refresh_inner(cycle)
             return
+        # attached, it runs inside the detector's monitor lap: move
+        # its share out of "detect"
         t0 = perf_counter()
         self._refresh_inner(cycle)
-        prof.reattribute(
-            perf_counter() - t0, "localize", self.profile_source
-        )
+        prof.reattribute(perf_counter() - t0, "localize", "detect")
 
     def _refresh_inner(self, cycle: int) -> None:
         footprints = list(self._footprints.values())

@@ -15,11 +15,14 @@ detector, in three modules:
   :class:`~repro.resilience.detect.TrafficStatsDetector` re-applied to
   bus frames, and :class:`~repro.resilience.localize.TopologyLocalizer`
   wrapped as a frame consumer;
-* :mod:`repro.serve.pipeline` pumps subscription -> frames ->
-  classifiers between engine chunks (:func:`run_streaming`), or over a
-  recorded ``events.jsonl`` offline (:func:`replay_events`) — both
-  produce byte-identical verdict streams.  The runner's
-  ``verdict_stream`` (``--obs-dir``) rides the same pipeline.
+* :mod:`repro.serve.pipeline` installs a bus sink that folds each
+  event into frames as it is published and runs the classifiers as
+  each frame closes, inside the one run loop
+  (:func:`run_streaming` calls :meth:`~repro.sim.engine.Simulation.run`),
+  or feeds a recorded ``events.jsonl`` offline (:func:`replay_events`)
+  — both produce byte-identical verdict streams.  The runner's
+  ``verdict_stream`` (``--obs-dir``) rides the same sink, so it holds
+  no events.
 
 Everything here is a pure observer: a streamed run's
 :class:`~repro.sim.engine.RunResult` is byte-identical to a bare run

@@ -17,11 +17,7 @@ import sys
 from typing import Optional
 
 from repro.serve.classify import ZScoreClassifier, default_classifiers
-from repro.serve.pipeline import (
-    DEFAULT_CHUNK,
-    replay_events,
-    run_streaming,
-)
+from repro.serve.pipeline import replay_events, run_streaming
 from repro.serve.scenarios import NAMED_SCENARIOS, named_scenario
 from repro.sim.scenario import Scenario
 
@@ -59,7 +55,6 @@ def _cmd_run(args) -> int:
     run = run_streaming(
         scenario,
         engine=args.engine,
-        chunk=args.chunk,
         on_verdict=on_verdict,
         events_jsonl=args.events_jsonl,
     )
@@ -79,16 +74,15 @@ def _cmd_run(args) -> int:
         print(
             f"{result['name']}: completed={result['completed']} "
             f"cycles={result['cycles']} "
-            f"verdicts={len(payload['verdict_stream'])} "
-            f"dropped={payload['dropped']}"
+            f"verdicts={len(payload['verdict_stream'])}"
         )
     return 0
 
 
 def _cmd_replay(args) -> int:
-    from repro.obs.exporters import read_events_jsonl
+    from repro.obs.exporters import iter_events_jsonl
 
-    events = read_events_jsonl(args.events)
+    events = iter_events_jsonl(args.events)
     if args.named is not None:
         scenario = named_scenario(args.named)
         classifiers = default_classifiers(scenario)
@@ -116,7 +110,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="direct streamed run")
     _add_scenario_args(run_p)
-    run_p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
     run_p.add_argument(
         "--events-jsonl", default=None,
         help="record the event stream for offline replay",

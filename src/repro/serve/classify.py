@@ -215,9 +215,6 @@ class LocalizerClassifier(Classifier):
         localizer = self._runs.get(run)
         if localizer is None:
             localizer = TopologyLocalizer(self.cfg, self.config)
-            # no enclosing monitor lap out here: charge "localize"
-            # without debiting "detect"
-            localizer.profile_source = None
             localizer.event_hooks.append(self._fresh.append)
             self._runs[run] = localizer
         return localizer

@@ -9,10 +9,11 @@ totals and the window's detector flags — exactly the series the
 z-score rules in :mod:`repro.serve.classify` consume.
 
 Determinism contract: a window closes when an event at or past its end
-arrives (or at :meth:`FeatureExtractor.flush`), never on wall-clock or
-pump timing — so the frame sequence is a pure function of the event
-stream, and the event stream is byte-identical across engines.  Chunk
-the pump however you like; the frames do not change.
+arrives (or at :meth:`FeatureExtractor.flush`), never on wall-clock —
+so the frame sequence is a pure function of the event stream, and the
+event stream is byte-identical across engines.  Feed events one at a
+time as they are published or as a recorded batch; the frames do not
+change.
 
 The final *partial* window is discarded by :meth:`flush`, mirroring
 the live :class:`~repro.resilience.detect.TrafficStatsDetector`, which
@@ -122,22 +123,27 @@ class FeatureExtractor:
         self.events_folded = 0
 
     # -- feeding -----------------------------------------------------------
+    def add(self, event: Event) -> list[FeatureFrame]:
+        """Fold one event; returns the frames it closed, in close
+        order (most events close none)."""
+        state = self._runs.get(event.run)
+        if state is None:
+            state = _RunState(FeatureFrame(event.run, 0, self.window))
+            self._runs[event.run] = state
+        # close every window the event's cycle has moved past —
+        # including empty ones, so a channel's baseline sees the same
+        # zero windows the live detector does
+        closed = []
+        while event.cycle >= state.frame.end:
+            closed.append(self._close(state))
+        self._fold(state, event)
+        return closed
+
     def feed(self, events: Iterable[Event]) -> list[FeatureFrame]:
         """Fold events; returns the frames they closed, in close order."""
         closed: list[FeatureFrame] = []
         for event in events:
-            state = self._runs.get(event.run)
-            if state is None:
-                state = _RunState(
-                    FeatureFrame(event.run, 0, self.window)
-                )
-                self._runs[event.run] = state
-            # close every window the event's cycle has moved past —
-            # including empty ones, so a channel's baseline sees the
-            # same zero windows the live detector does
-            while event.cycle >= state.frame.end:
-                closed.append(self._close(state))
-            self._fold(state, event)
+            closed.extend(self.add(event))
         return closed
 
     def flush(self, up_to: Optional[int] = None) -> list[FeatureFrame]:

@@ -594,10 +594,12 @@ class Simulation:
 
         sim = cls.restore(load_bundle(bundle).checkpoint_path)
         # a replay diagnoses an existing bundle — don't write new ones,
-        # nor spill into the event export of the run it came from
+        # nor append to the event export of the run it came from
         sim.forensics = None
-        if sim.obs is not None and sim.obs.export_sub is not None:
-            sim.obs.export_sub.flush = None
+        obs = sim.obs
+        if obs is not None and obs.export_sink is not None:
+            obs.bus.sinks.remove(obs.export_sink)
+            obs.export_sink = None
         return sim
 
     # -- one-shot --------------------------------------------------------
@@ -627,15 +629,6 @@ class Simulation:
             )
         if self.obs is not None:
             self.obs.finalize(self)
-        return self.result(completed)
-
-    def result(self, completed: bool) -> RunResult:
-        """The :class:`RunResult` for the network's current state.
-
-        Factored out of :meth:`_run` so chunked drivers (the serving
-        layer steps the engine in slices and pumps verdicts between
-        them) build the byte-identical report the one-shot path does.
-        """
         net = self.network
         stats = net.stats
         return RunResult(

@@ -173,7 +173,7 @@ class Forensics:
             (trace + "\n") if trace else "(no trace events)\n"
         )
         obs = getattr(sim, "obs", None)
-        if obs is not None and obs.config.enabled:
+        if obs is not None:
             # written before the manifest so iterdir() lists it below
             (bundle / METRICS_NAME).write_text(
                 json.dumps(obs.manifest(), indent=2, sort_keys=True)

@@ -156,6 +156,22 @@ class TestPaperHeadlines:
         assert h["mitigated_victim_completions"] >= 0.95 * victim_baseline
         assert h["mitigated_blocked_cores"] == 0
 
+    def test_lob_keeps_the_infected_link_at_a_one_to_three_cycle_penalty(
+        self,
+    ):
+        curves = fig2_faults.run().curves
+        distances = sorted(fig2_faults.DISTANCE_DESTS)
+        # unmitigated, the trojan stalls the flow at every distance...
+        assert all(
+            curves["trojan (no mitigation)"][d] is None for d in distances
+        )
+        # ...while L-Ob keeps the infected link in use, a few cycles
+        # slower than the clean network
+        for d in distances:
+            lob = curves["trojan (L-Ob)"][d]
+            assert lob is not None
+            assert 1 <= lob - curves["clean"][d] <= 3
+
 
 class TestAblations:
     def test_target_width_small(self):

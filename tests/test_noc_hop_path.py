@@ -301,8 +301,11 @@ class CountingCodec:
         return self.codec.encode(data)
 
 
-def no_op_launch_hook(tx, cycle, original):
-    """Observes nothing; being a launch hook, it makes its link encode."""
+class IdentityTamperer:
+    """Alters nothing; being a tamperer, it makes its link encode."""
+
+    def tamper(self, codeword, cycle):
+        return codeword
 
 
 RECEIVER_COUNTERS = (
@@ -314,7 +317,7 @@ RECEIVER_COUNTERS = (
 def protected_run(kind, seed, force_encode):
     """A seeded run with transient double flips (or TASP), a stuck-at
     wire and, on the mitigated network, a transient storm too; with
-    ``force_encode`` every link carries a launch hook."""
+    ``force_encode`` every link carries an identity tamperer."""
     rng = random.Random(seed)
     net = with_faults(kind)
     width = net.codec.codeword_bits
@@ -330,8 +333,8 @@ def protected_run(kind, seed, force_encode):
             ),
         )
     if force_encode:
-        for link in net.links.values():
-            link.launch_hooks.append(no_op_launch_hook)
+        for key in keys:
+            net.attach_tamperer(key, IdentityTamperer())
     codec = net.codec = CountingCodec(net.codec)
     pkt_id = 0
     for _ in range(200):
@@ -367,7 +370,7 @@ def protected_run(kind, seed, force_encode):
 @pytest.mark.parametrize("kind", sorted(NETWORKS))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_encoding_only_alterable_links_changes_nothing(kind, seed):
-    """Forced-encode oracle: a no-op launch hook on every link sends
+    """Forced-encode oracle: an identity tamperer on every link sends
     every word through SECDED, as every launch did before links without
     a tamperer stopped encoding; the two runs must agree on every
     statistic, packet timeline, traversal count and receiver counter."""

@@ -11,6 +11,7 @@ from repro.obs.exporters import (
     disabled_manifest,
     main as exporters_main,
     prometheus_text,
+    iter_events_jsonl,
     read_events_jsonl,
     validate_events_jsonl,
     validate_metrics_json,
@@ -57,6 +58,16 @@ class TestEventsJsonl:
         with pytest.raises(ObsExportError, match=":3: "):
             validate_events_jsonl(path)
 
+    def test_iter_yields_each_valid_event_before_a_bad_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(path, EVENTS)
+        with open(path, "a") as fh:
+            fh.write("{oops\n")
+        events = iter_events_jsonl(path)
+        assert [next(events), next(events)] == EVENTS
+        with pytest.raises(ObsExportError, match="events.jsonl:3: not JSON"):
+            next(events)
+
 
 class TestPrometheusText:
     def test_counter_gauge_and_histogram_forms(self):
@@ -94,6 +105,8 @@ class TestMetricsManifest:
         obs.registry.counter("noc_flits_injected", run="r").inc(5)
         obs.series.observe(0, "r/input_utilization", 3)
         obs.series.flush()
+        events = []
+        obs.bus.sinks.append(events.append)
         obs.bus.emit("inject", 0, "r", pkt_id=1)
         manifest = build_manifest(obs)
         path = write_metrics_json(tmp_path / "metrics.json", manifest)

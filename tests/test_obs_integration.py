@@ -19,7 +19,7 @@ from repro.core.telemetry import security_report
 from repro.experiments.export import to_jsonable
 from repro.noc.config import NoCConfig, PAPER_CONFIG
 from repro.noc.topology import Direction
-from repro.obs import profiler as obs_profiler
+from repro.obs import instrument, profiler as obs_profiler
 from repro.obs.collectors import campaign_metrics, link_label
 from repro.experiments import runner
 from repro.obs.exporters import (
@@ -64,6 +64,14 @@ def stats_snapshot(sim: Simulation) -> str:
     )
 
 
+def listen(sim: Simulation) -> list:
+    """A list sink on the simulation's bus: every event is built and
+    kept there, in publish order."""
+    events = []
+    sim.obs.bus.sinks.append(events.append)
+    return events
+
+
 def attacked_scenario(**overrides) -> Scenario:
     """Targeted flow through an infected, mitigated link — exercises
     corruption, retransmission, L-Ob and detector verdicts."""
@@ -104,8 +112,10 @@ class TestPureObserver:
         base_stats = stats_snapshot(baseline)
 
         observed = Simulation(attacked_scenario(), obs=ObsConfig())
+        events = listen(observed)
         obs_result = observed.run()
 
+        assert events
         assert stats_snapshot(observed) == base_stats
         assert dataclasses.asdict(obs_result) == dataclasses.asdict(
             base_result
@@ -122,22 +132,44 @@ class TestPureObserver:
         assert sim.network.injection_hooks == []
         assert sim.network.ejection_hooks == []
 
-    def test_disabled_obs_attaches_no_hooks(self):
-        sim = Simulation(quiet_scenario(), obs=ObsConfig(enabled=False))
-        assert sim.obs is not None
-        assert sim.network.injection_hooks == []
-        assert sim.network.ejection_hooks == []
-        assert sim.network.monitors == []
-        # finalize on a disabled stack is a no-op, not an error
-        sim.run()
-        assert sim.obs.registry.snapshot() == {}
+    def test_observed_and_traced_runs_encode_like_the_bare_run(
+        self, monkeypatch, tmp_path
+    ):
+        """Launch hooks only observe: the obs hooks and the forensics
+        ring tracer leave SECDED to the links with a tamperer."""
+        from repro.ecc.hamming import Secded
+
+        calls = [0]
+        encode = Secded.encode
+
+        def counting_encode(codec, data):
+            calls[0] += 1
+            return encode(codec, data)
+
+        monkeypatch.setattr(Secded, "encode", counting_encode)
+        bare = Simulation(attacked_scenario())
+        bare.run()
+        bare_calls, calls[0] = calls[0], 0
+
+        observed = Simulation(attacked_scenario(), obs=ObsConfig())
+        events = listen(observed)
+        observed.enable_forensics(tmp_path)
+        observed.run()
+
+        assert bare_calls > 0
+        assert calls[0] == bare_calls
+        assert stats_snapshot(observed) == stats_snapshot(bare)
+        # the hooks still saw every corruption on the infected link
+        corrupts = [e for e in events if e.kind == "corrupt"]
+        assert corrupts
+        assert len(corrupts) == observed.obs.registry.total("link_corrupted")
 
 
 class TestEventCapture:
     def test_attack_run_publishes_the_expected_kinds(self):
         sim = Simulation(attacked_scenario(), obs=ObsConfig())
+        events = listen(sim)
         sim.run()
-        events = sim.obs.export_sub.drain()
         kinds = {e.kind for e in events}
         assert {"inject", "deliver", "corrupt", "retransmit"} <= kinds
         assert all(e.run == "obs-attacked" for e in events)
@@ -147,10 +179,9 @@ class TestEventCapture:
 
     def test_verdict_transitions_become_events_and_counters(self):
         sim = Simulation(attacked_scenario(), obs=ObsConfig())
+        events = listen(sim)
         sim.run()
-        verdicts = [
-            e for e in sim.obs.export_sub.drain() if e.kind == "verdict"
-        ]
+        verdicts = [e for e in events if e.kind == "verdict"]
         assert verdicts, "detector verdicts never surfaced as events"
         infected = link_label((0, Direction.EAST))
         assert any(e.data["link"] == infected for e in verdicts)
@@ -169,59 +200,24 @@ class TestEventCapture:
         assert util and all(start % 32 == 0 for start, _ in util)
 
     def test_events_off_keeps_metrics_on(self):
-        sim = Simulation(attacked_scenario(), obs=ObsConfig(events=False))
+        # no events_jsonl and no other sink: no event is built
+        sim = Simulation(attacked_scenario(), obs=ObsConfig())
         sim.run()
-        assert sim.obs.export_sub is None
+        assert sim.obs.export_sink is None
         assert sim.obs.bus.published == 0
         assert sim.obs.registry.total("noc_flits_injected") > 0
 
 
-class TestSubscriberOverflow:
-    def test_slow_subscriber_drops_new_without_perturbing_the_run(self):
-        bare = Simulation(attacked_scenario())
-        bare_result = bare.run()
-        baseline = stats_snapshot(bare)
-
-        sim = Simulation(attacked_scenario(), obs=ObsConfig())
-        slow = sim.obs.bus.subscribe(capacity=8)  # never drained
-        result = sim.run()
-
-        # drop-new: the queue holds the oldest 8 events, the rest are
-        # counted off, and the accounting balances with the bus
-        assert slow.dropped > 0
-        assert len(slow) == slow.capacity == 8
-        assert slow.received == 8
-        assert slow.received + slow.dropped == sim.obs.bus.published
-        first_kept = next(iter(slow.peek()))
-        assert all(e.cycle >= first_kept.cycle for e in slow.peek())
-        # ...while the simulation itself never noticed
-        assert stats_snapshot(sim) == baseline
-        assert dataclasses.asdict(result) == dataclasses.asdict(
-            bare_result
-        )
-        # the healthy export subscription kept everything
-        assert sim.obs.export_sub.dropped == 0
-
-    def test_drops_are_reported_in_the_manifest(self):
-        from repro.obs.exporters import build_manifest
-
-        sim = Simulation(attacked_scenario(), obs=ObsConfig(
-            queue_capacity=8
-        ))
-        sim.run()
-        sim.obs.finalize(sim)
-        manifest = build_manifest(sim.obs)
-        assert manifest["events"]["dropped"] > 0
-        assert manifest["events"]["queued"] == 8
-
-
 class TestFullQueuesFlush:
-    """The export subscription, drained only at the end of a run,
-    appends its queue to ``events.jsonl`` when it fills instead of
-    dropping."""
+    """The export sink appends each full batch to ``events.jsonl``, so
+    it holds at most one batch and loses nothing."""
+
+    @pytest.fixture(autouse=True)
+    def small_batch(self, monkeypatch):
+        monkeypatch.setattr(instrument, "EXPORT_BATCH", 4)
 
     def test_small_queue_loses_nothing_and_replays_the_verdicts(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         from repro.experiments import fig11_backpressure as fig11
         from repro.obs.exporters import read_events_jsonl
@@ -229,11 +225,10 @@ class TestFullQueuesFlush:
         from repro.serve.pipeline import DetectionPipeline, replay_events
 
         path = tmp_path / "events.jsonl"
-        # the runner's --obs-dir wiring, with the export queue far
+        # the runner's --obs-dir wiring, with the export batch far
         # smaller than the run's event count
-        obs = enable_ambient(
-            ObsConfig(queue_capacity=1_000, events_jsonl=str(path))
-        )
+        monkeypatch.setattr(instrument, "EXPORT_BATCH", 1_000)
+        obs = enable_ambient(ObsConfig(events_jsonl=str(path)))
         pipeline = DetectionPipeline([ZScoreClassifier()]).attach(obs)
         try:
             # the trojan arms at 600 and is flagged within the window
@@ -253,20 +248,20 @@ class TestFullQueuesFlush:
 
     @staticmethod
     def _spilled_at_150(path):
-        """A run whose 4-event export queue has spilled by cycle 150,
+        """A run whose 4-event export batch has spilled by cycle 150,
         and its checkpoint there."""
-        sim = Simulation(attacked_scenario(), obs=ObsConfig(
-            queue_capacity=4, events_jsonl=str(path)
-        ))
+        sim = Simulation(
+            attacked_scenario(), obs=ObsConfig(events_jsonl=str(path))
+        )
         sim.advance_to(150)
         assert sim.obs.events_written > 0
         return sim, sim.snapshot()
 
     @staticmethod
     def _straight_lines(path):
-        straight = Simulation(attacked_scenario(), obs=ObsConfig(
-            queue_capacity=4, events_jsonl=str(path)
-        ))
+        straight = Simulation(
+            attacked_scenario(), obs=ObsConfig(events_jsonl=str(path))
+        )
         straight.run()
         straight.obs.export()
         return path.read_text().splitlines(keepends=True)
@@ -307,9 +302,10 @@ class TestFullQueuesFlush:
         from repro.sim.sentinel import SentinelTrip
 
         path = tmp_path / "events.jsonl"
-        sim = Simulation(planted_deadlock_scenario(), obs=ObsConfig(
-            queue_capacity=4, events_jsonl=str(path)
-        ))
+        sim = Simulation(
+            planted_deadlock_scenario(),
+            obs=ObsConfig(events_jsonl=str(path)),
+        )
         sim.enable_forensics(tmp_path / "fx", snapshot_every=50)
         with pytest.raises(SentinelTrip) as excinfo:
             sim.run()
@@ -326,6 +322,8 @@ class TestWatchdogEscalations:
         from repro.obs.instrument import _EscalateHook
 
         obs = Observability(ObsConfig())
+        events = []
+        obs.bus.sinks.append(events.append)
         watchdog = RetransWatchdog(WatchdogConfig())
         watchdog.event_hooks.append(_EscalateHook(obs, "ladder"))
         watchdog._log(
@@ -343,7 +341,7 @@ class TestWatchdogEscalations:
             ).value
             == 1
         )
-        (event,) = obs.export_sub.drain()
+        (event,) = events
         assert event.kind == "escalate"
         assert event.data["link"] == "0->EAST"
         assert event.data["stage"] == "obfuscate"
@@ -353,11 +351,10 @@ class TestWatchdogEscalations:
 class TestEngineNotifications:
     def test_checkpoints_emit_events_with_paths(self, tmp_path):
         sim = Simulation(quiet_scenario(), obs=ObsConfig())
+        events = listen(sim)
         sim.configure_checkpoints(tmp_path, interval=100)
         sim.run()
-        checkpoints = [
-            e for e in sim.obs.export_sub.drain() if e.kind == "checkpoint"
-        ]
+        checkpoints = [e for e in events if e.kind == "checkpoint"]
         assert checkpoints
         for event in checkpoints:
             assert event.data["checkpoint_cycle"] == event.cycle
@@ -365,13 +362,10 @@ class TestEngineNotifications:
 
     def test_on_failure_records_the_trip_and_finalizes(self):
         sim = Simulation(quiet_scenario(), obs=ObsConfig())
+        events = listen(sim)
         sim.advance_to(50)
         sim.obs.on_failure(sim, RuntimeError("synthetic failure"))
-        (event,) = [
-            e
-            for e in sim.obs.export_sub.drain()
-            if e.kind == "sentinel_trip"
-        ]
+        (event,) = [e for e in events if e.kind == "sentinel_trip"]
         assert event.data["trip_kind"] == "crash:RuntimeError"
         assert event.data["message"] == "synthetic failure"
         # the final scrape ran: the registry holds the dying state
@@ -390,7 +384,10 @@ class TestEngineNotifications:
         assert "sim_cycles" in metrics["metrics"]
 
     def test_observed_simulation_still_pickles(self, tmp_path):
-        sim = Simulation(quiet_scenario(), obs=ObsConfig())
+        # the export sink pickles with its batch
+        sim = Simulation(quiet_scenario(), obs=ObsConfig(
+            events_jsonl=str(tmp_path / "events.jsonl")
+        ))
         sim.advance_to(40)
         path = tmp_path / "mid.ckpt"
         sim.snapshot().save(path)

@@ -4,7 +4,6 @@ The load-bearing guarantees, each tested here:
 
 * a streamed run's :class:`RunResult` and ``NetworkStats`` are
   byte-identical to a bare run (the pipeline is a pure observer);
-* the verdict stream does not depend on the pump chunk size;
 * sweep and event engines produce byte-identical streams;
 * replaying a recorded ``events.jsonl`` reproduces the live stream
   byte-for-byte.
@@ -12,8 +11,6 @@ The load-bearing guarantees, each tested here:
 
 import dataclasses
 import json
-
-import pytest
 
 from repro.core import TargetSpec
 from repro.noc.config import PAPER_CONFIG
@@ -63,7 +60,7 @@ def dos_scenario(**overrides) -> Scenario:
 
 
 def timed_scenario(**overrides) -> Scenario:
-    """Duration-mode coverage for the chunked driver."""
+    """Duration-mode coverage for the streamed run."""
     base = dict(
         name="serve-timed",
         cfg=PAPER_CONFIG,
@@ -90,14 +87,13 @@ class TestPureObserver:
         assert dataclasses.asdict(streamed.result) == dataclasses.asdict(
             bare_result
         )
-        assert streamed.dropped == 0
         # ...and it actually saw the attack
         kinds = {v.kind for v in streamed.verdicts}
         assert {"suspect_link", "backpressure", "estimate"} <= kinds
 
     def test_duration_mode_drives_to_the_exact_cycle(self):
         bare_result = Simulation(timed_scenario()).run()
-        streamed = run_streaming(timed_scenario(), chunk=100)
+        streamed = run_streaming(timed_scenario())
         assert streamed.result.completed
         assert streamed.result.cycles == bare_result.cycles == 900
         assert dataclasses.asdict(streamed.result) == dataclasses.asdict(
@@ -105,20 +101,12 @@ class TestPureObserver:
         )
 
     def test_stall_abort_matches_the_one_shot_engine(self):
-        # the DoS run livelocks: chunked driving must abort on the
+        # the DoS run livelocks: the streamed run must abort on the
         # same cycle with completed=False
         assert not run_streaming(dos_scenario()).result.completed
 
 
 class TestDeterminism:
-    def test_verdict_stream_is_chunk_independent(self):
-        big = run_streaming(dos_scenario(), chunk=1024)
-        small = run_streaming(dos_scenario(), chunk=17)
-        assert stream_of(big) == stream_of(small)
-        assert json.dumps([f.to_dict() for f in big.frames]) == json.dumps(
-            [f.to_dict() for f in small.frames]
-        )
-
     def test_sweep_and_event_engines_stream_identically(self):
         sweep = run_streaming(dos_scenario(), engine="sweep")
         event = run_streaming(dos_scenario(), engine="event")
@@ -153,24 +141,9 @@ class TestCallbacksAndLimits:
         )
         assert seen == run.verdicts
 
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk"):
-            run_streaming(timed_scenario(), chunk=0)
-
-    def test_tiny_capacity_counts_drops_without_perturbing_the_run(self):
-        bare_result = Simulation(dos_scenario()).run()
-        starved = run_streaming(dos_scenario(), capacity=16)
-        assert starved.dropped > 0
-        # under-observation is visible, the simulation untouched
-        assert dataclasses.asdict(starved.result) == dataclasses.asdict(
-            bare_result
-        )
-
     def test_payload_is_json_serializable_and_complete(self):
         payload = run_streaming(dos_scenario()).to_payload()
-        assert set(payload) == {
-            "result", "verdict_stream", "dropped",
-        }
+        assert set(payload) == {"result", "verdict_stream"}
         json.dumps(payload, sort_keys=True)
 
 
@@ -180,8 +153,10 @@ class TestPipelineWiring:
 
         obs = Observability(ObsConfig(metrics=False, window=0))
         pipeline = DetectionPipeline([ZScoreClassifier()]).attach(obs)
-        sub = pipeline.sub
-        assert sub in obs.bus.subscriptions
+        assert obs.bus.sinks == [pipeline.fold]
+        obs.bus.emit("inject", 0, "r", pkt_id=1, seq=0, core=0)
         pipeline.detach()
-        assert sub not in obs.bus.subscriptions
-        assert pipeline.pump() == []
+        assert obs.bus.sinks == []
+        # with no sink left nothing is built, let alone folded
+        assert obs.bus.emit("inject", 1, "r", pkt_id=2, seq=0, core=0) is None
+        assert pipeline.extractor.events_folded == 1
