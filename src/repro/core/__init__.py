@@ -37,9 +37,7 @@ from repro.core.mitigation import (
 from repro.core.recovery import RecoveryManager, RecoveryReport
 from repro.core.telemetry import (
     LinkSecurityStatus,
-    ResilienceReport,
     SecurityReport,
-    resilience_report,
     security_report,
 )
 from repro.core.targets import TargetSpec
@@ -69,9 +67,7 @@ __all__ = [
     "MitigationConfig",
     "build_mitigated_network",
     "LinkSecurityStatus",
-    "ResilienceReport",
     "SecurityReport",
-    "resilience_report",
     "security_report",
     "RecoveryManager",
     "RecoveryReport",

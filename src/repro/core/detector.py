@@ -87,11 +87,8 @@ class ThreatDetector:
         self.bist_report: Optional[BistReport] = None
         self._bist_requested = False
         # -- counters -----------------------------------------------------
-        # .. deprecated:: read these through the metrics registry
-        #    (``repro.obs.collectors.collect_security`` publishes them
-        #    as ``detector_*`` series and ``security_report`` is now an
-        #    adapter over that snapshot); the raw attributes remain the
-        #    mutation site only.
+        # (``repro.obs.collectors.collect_security`` scrapes them as
+        # ``detector_*`` series)
         self.faults_observed = 0
         self.transient_resolutions = 0
         self.obfuscation_successes = 0
@@ -172,11 +169,6 @@ class ThreatDetector:
             # Repeated, flit-keyed, position-shifting faults on a link
             # BIST says is healthy: a target-activated fault source.
             self.verdict = LinkVerdict.TROJAN
-
-    # ------------------------------------------------------------------
-    @property
-    def trojan_suspected(self) -> bool:
-        return self.verdict is LinkVerdict.TROJAN
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

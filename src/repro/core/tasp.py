@@ -128,11 +128,9 @@ class TaspTrojan:
         self.kill_switch = False
         self._seen_target = False
         self.payload_index = 0
-        # -- observability ------------------------------------------------
-        # .. deprecated:: read these through the metrics registry
-        #    (``repro.obs.collectors.collect_trojans`` publishes them
-        #    as ``trojan_*`` series); raw attributes are the mutation
-        #    site only.
+        # -- counters -----------------------------------------------------
+        # (``repro.obs.collectors.collect_trojans`` scrapes them as
+        # ``trojan_*`` series)
         self.flits_inspected = 0
         self.triggers = 0
         self.faults_injected = 0

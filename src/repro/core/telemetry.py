@@ -7,8 +7,7 @@ between L-Ob, rerouting and migration) would consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.core.detector import LinkVerdict
 from repro.core.lob import ObMethod
@@ -94,85 +93,6 @@ class SecurityReport:
                 f"({methods}); {self.preemptive_sends} preemptive"
             )
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ResilienceReport:
-    """Degradation / watchdog posture of one network.
-
-    Unlike :func:`security_report` this works on *any* network — the
-    counters come from :class:`repro.noc.stats.NetworkStats` and the
-    (optional) watchdog, not from the mitigation's detectors.
-    """
-
-    degraded_flits: int
-    degraded_packets: int
-    packets_resubmitted: int
-    retrans_backoffs: int
-    lob_escalations: int
-    #: ports whose oldest retransmission entry exceeds the pin window
-    pinned_ports: tuple[tuple[LinkKey, int], ...]
-    condemned_links: tuple[LinkKey, ...]
-    watchdog_drops: int
-    watchdog_backoffs: int
-    watchdog_obfuscations: int
-
-    def summary(self) -> str:
-        lines = [
-            "resilience report: "
-            f"{self.degraded_packets} packets degraded "
-            f"({self.degraded_flits} flits), "
-            f"{self.packets_resubmitted} resubmitted end-to-end",
-            f"  ladder: {self.retrans_backoffs} backoffs, "
-            f"{self.lob_escalations} obfuscation escalations, "
-            f"{len(self.condemned_links)} condemned link(s)",
-        ]
-        for key, age in self.pinned_ports:
-            lines.append(
-                f"  pinned: link {key[0]:2d}->{key[1].name:5s} "
-                f"oldest entry {age} cycles"
-            )
-        if not self.pinned_ports:
-            lines.append("  no pinned ports")
-        return "\n".join(lines)
-
-
-def resilience_report(
-    network: Network, watchdog=None, pin_window: int = 100
-) -> ResilienceReport:
-    """Collect the degradation posture of any network (mitigated or
-    not); pass the attached watchdog for its ladder counters."""
-    pinned = tuple(
-        (key, age)
-        for key, link in network.links.items()
-        if (
-            age := network.output_port_of(key).retrans.oldest_wait(
-                network.cycle
-            )
-        )
-        > pin_window
-    )
-    stats = network.stats
-    return ResilienceReport(
-        degraded_flits=stats.degraded_flits,
-        degraded_packets=stats.degraded_packets,
-        packets_resubmitted=stats.packets_resubmitted,
-        retrans_backoffs=stats.retrans_backoffs,
-        lob_escalations=stats.lob_escalations,
-        pinned_ports=pinned,
-        condemned_links=tuple(
-            key for key, link in network.links.items() if link.disabled
-        ),
-        watchdog_drops=(
-            watchdog.packets_dropped if watchdog is not None else 0
-        ),
-        watchdog_backoffs=(
-            watchdog.backoffs_applied if watchdog is not None else 0
-        ),
-        watchdog_obfuscations=(
-            watchdog.obfuscations_forced if watchdog is not None else 0
-        ),
-    )
 
 
 def security_report(network: Network) -> SecurityReport:

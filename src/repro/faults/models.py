@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from typing import Protocol, runtime_checkable
 
-from repro.util.bits import mask
 from repro.util.rng import SeededStream
 
 
@@ -234,8 +233,3 @@ class CompositeTamperer:
         for part in self.parts:
             codeword = part.tamper(codeword, cycle)
         return codeword
-
-
-def random_codeword(width: int, stream: SeededStream) -> int:
-    """Uniform test word for BIST random probing."""
-    return stream.bits(width) & mask(width)

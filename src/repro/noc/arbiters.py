@@ -65,41 +65,3 @@ class RoundRobinArbiter:
     def peek_priority(self) -> int:
         """Current priority pointer (exposed for tests)."""
         return self._pointer
-
-
-class MatrixArbiter:
-    """Least-recently-granted matrix arbiter (provided for the ablation
-    comparing arbitration schemes; the paper's routers use round-robin).
-    """
-
-    __slots__ = ("size", "_matrix", "grants")
-
-    def __init__(self, size: int):
-        if size <= 0:
-            raise ValueError("arbiter size must be positive")
-        self.size = size
-        # _matrix[i][j] True means i has priority over j.
-        self._matrix = [[i < j for j in range(size)] for i in range(size)]
-        self.grants = 0
-
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        if len(requests) != self.size:
-            raise ValueError("request vector width mismatch")
-        winner = None
-        for i in range(self.size):
-            if not requests[i]:
-                continue
-            if all(
-                not (requests[j] and self._matrix[j][i])
-                for j in range(self.size)
-                if j != i
-            ):
-                winner = i
-                break
-        if winner is not None:
-            for j in range(self.size):
-                if j != winner:
-                    self._matrix[winner][j] = False
-                    self._matrix[j][winner] = True
-            self.grants += 1
-        return winner

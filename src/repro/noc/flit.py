@@ -81,10 +81,6 @@ class HeaderLayout:
     header_window: tuple[int, int]
     payload_window: tuple[int, int]
 
-    @property
-    def router_bits(self) -> int:
-        return self.src[1]
-
 
 #: the paper's §V-A layout (4-bit router ids, <= 16 routers)
 PAPER_LAYOUT = HeaderLayout(

@@ -139,6 +139,8 @@ class Network:
         self._backlogged: set[int] = set()
         self.cycle = 0
         self.traffic: Optional[TrafficSource] = None
+        #: back-pressure sampling cadence in cycles (0 disables
+        #: sampling: no Sample is ever constructed)
         self.sample_interval = 10
         #: phase wall-clock attribution (repro.obs.profiler); None (the
         #: default) costs one identity test per phase per cycle
@@ -150,21 +152,6 @@ class Network:
         #: per-cycle observers (e.g. the resilience watchdog); each is
         #: called as ``monitor.on_cycle(network, cycle)`` at end of step
         self.monitors: list = []
-
-    # -- measurement cadence -------------------------------------------------
-    @property
-    def sample_interval(self) -> int:
-        """Back-pressure sampling cadence in cycles (0 disables
-        sampling entirely — the zero-allocation path: no Sample is ever
-        constructed).  The cadence is mirrored onto
-        ``stats.samples.interval`` so archived series are
-        self-describing."""
-        return self._sample_interval
-
-    @sample_interval.setter
-    def sample_interval(self, value: int) -> None:
-        self._sample_interval = value
-        self.stats.samples.interval = value or None
 
     # -- active-set stepping -------------------------------------------------
     @property
@@ -416,9 +403,6 @@ class Network:
         self._backlogs[packet.src_core].extend(flits)
         self._backlogged.add(packet.src_core)
 
-    def backlog_depth(self, core: int) -> int:
-        return len(self._backlogs[core])
-
     # -- cycle loop -------------------------------------------------------------
     def step(self) -> None:
         cycle = self.cycle
@@ -565,7 +549,7 @@ class Network:
                 )
             _t = prof.lap("defense", _t)
 
-        interval = self._sample_interval
+        interval = self.sample_interval
         if interval and cycle % interval == 0:
             self.collect_sample()
         if prof is not None:

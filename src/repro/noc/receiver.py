@@ -110,10 +110,8 @@ class EccReceiver:
         #: wired by Network: NetworkStats, for degrade drop accounting
         self.stats_sink = None
         # -- counters ----------------------------------------------------
-        # .. deprecated:: read these through the metrics registry
-        #    (``repro.obs.collectors.collect_links`` publishes them as
-        #    ``ecc_*`` series); the raw attributes remain the mutation
-        #    site but new consumers should use the registry snapshot.
+        # (``repro.obs.collectors.collect_links`` scrapes them as
+        # ``ecc_*`` series)
         self.flits_accepted = 0
         self.flits_corrected = 0
         self.faults_detected = 0

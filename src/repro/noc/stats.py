@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.obs.series import SampleSeries
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.flit import Flit
 
@@ -74,10 +72,8 @@ class NetworkStats:
     """Aggregates collected while a :class:`repro.noc.network.Network` runs."""
 
     def __init__(self) -> None:
-        #: back-pressure snapshots; a list (bytes-compatible with the
-        #: historical ``list[Sample]``) that also records the sampling
-        #: cadence and offers windowed rollups (repro.obs.series)
-        self.samples: SampleSeries = SampleSeries()
+        #: back-pressure snapshots, one per ``Network.sample_interval``
+        self.samples: list[Sample] = []
         self.packets: dict[int, PacketRecord] = {}
         self.packets_completed = 0
         self.packets_injected = 0

@@ -184,11 +184,6 @@ def link_endpoints(cfg: NoCConfig, key: LinkKey) -> tuple[int, int]:
     return src, dst
 
 
-def min_hops(cfg: NoCConfig, router_a: int, router_b: int) -> int:
-    """Minimal hop count between two routers on this topology."""
-    return cfg.hop_distance(router_a, router_b)
-
-
 # -- dimension-order stepping (shared by routing and path enumeration) --
 
 def x_step(cfg: NoCConfig, cx: int, dx: int) -> Direction:

@@ -3,24 +3,24 @@
 The paper's central evaluation point is that a TASP stall is invisible
 in latency alone — it only shows up in the back-pressure building
 inside the network (Figs. 11/12).  This package is the one place the
-whole stack emits that visibility into:
+whole stack emits that visibility into.  It keeps no counter of its
+own: the simulator's components count, and this layer publishes their
+events and scrapes their counts.
 
-* :mod:`repro.obs.registry` — a metrics registry (counters, gauges,
-  histograms with label sets; near-zero-cost no-op handles when
-  disabled);
 * :mod:`repro.obs.events` — a typed, versioned-schema event bus that
   hands each event to its sinks (the ``events.jsonl`` export, the
   verdict pipeline); with no sink it builds no event;
-* :mod:`repro.obs.series` — cycle-windowed time-series rollups (the
-  generalization of :class:`repro.noc.stats.Sample`) suitable for
-  Fig. 11/12-style back-pressure heatmaps and detector research;
-* :mod:`repro.obs.collectors` — scrapers that turn live network
-  component state into registry series (the single source of truth
-  behind :func:`repro.core.telemetry.security_report`);
+* :mod:`repro.obs.registry` — a metrics registry of gauges and
+  histograms with label sets, filled only by the final scrape;
+* :mod:`repro.obs.series` — cycle-windowed back-pressure maxima for
+  Fig. 11/12-style heatmaps and detector research;
+* :mod:`repro.obs.collectors` — scrapers that copy the components'
+  own counters into registry series at finalize (the single source of
+  truth behind :func:`repro.core.telemetry.security_report`);
 * :mod:`repro.obs.instrument` — the wiring: attach an
   :class:`~repro.obs.instrument.Observability` to a simulation and
-  every hook point (inject/eject/launch/ack/monitor) feeds the
-  registry, bus and series;
+  every hook point (inject/eject/launch/ack/monitor) publishes its
+  event while a sink listens, and the finished run is scraped;
 * :mod:`repro.obs.exporters` — JSONL event streams, Prometheus-style
   text dumps, and the per-run ``metrics.json`` manifest (plus the
   schema validators CI runs);
@@ -32,11 +32,8 @@ whole stack emits that visibility into:
 
 Observability is a **pure observer**: enabling it never changes
 ``NetworkStats`` or any experiment report byte (proof in
-``tests/test_obs_integration.py``).
-
-This ``__init__`` only imports dependency-free leaf modules so that
-base layers (``repro.noc.stats``) can import :mod:`repro.obs.series`
-without a cycle; the network-aware modules load lazily.
+``tests/test_obs_integration.py``).  :mod:`repro.noc` imports nothing
+from this package, so ``import repro.noc`` loads none of it.
 """
 
 from repro.obs.events import (
@@ -46,27 +43,8 @@ from repro.obs.events import (
     EventBus,
     EventSchemaError,
 )
-from repro.obs.registry import MetricsRegistry, NOOP_METRIC
-from repro.obs.series import SampleSeries, WindowedSeries
-
-_LAZY = {
-    "Observability": "repro.obs.instrument",
-    "ObsConfig": "repro.obs.instrument",
-    "ambient": "repro.obs.instrument",
-    "enable_ambient": "repro.obs.instrument",
-    "disable_ambient": "repro.obs.instrument",
-    "PhaseProfiler": "repro.obs.profiler",
-}
-
-
-def __getattr__(name):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(target), name)
-
+from repro.obs.registry import MetricsRegistry
+from repro.obs.series import WindowedSeries
 
 __all__ = [
     "EVENT_KINDS",
@@ -75,13 +53,5 @@ __all__ = [
     "EventBus",
     "EventSchemaError",
     "MetricsRegistry",
-    "NOOP_METRIC",
-    "Observability",
-    "ObsConfig",
-    "PhaseProfiler",
-    "SampleSeries",
     "WindowedSeries",
-    "ambient",
-    "disable_ambient",
-    "enable_ambient",
 ]

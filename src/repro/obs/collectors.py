@@ -3,10 +3,11 @@
 The simulator's components already count everything the paper's
 evaluation needs — ECC receivers, threat detectors, L-Ob encoders,
 links, the watchdog ladder, :class:`~repro.noc.stats.NetworkStats`.
-The collectors here turn that component state into labelled registry
-series with one naming scheme, so exporters, the runner's ``metrics``
-section and :func:`repro.core.telemetry.security_report` all read the
-same numbers from the same place.
+Those counters are the one statistics core: the collectors here copy
+them into labelled registry series with one naming scheme, so
+exporters, the runner's ``metrics`` section and
+:func:`repro.core.telemetry.security_report` all read the same numbers
+from the same place.
 
 Link labels use the same ``"<router>-><DIRECTION>"`` spelling as
 :mod:`repro.experiments.export` flattens link-key dict keys to, and
@@ -129,10 +130,17 @@ def collect_links(
     registry: MetricsRegistry,
     run: Optional[str] = None,
 ) -> None:
-    """Per-link receive-pipeline and retransmission-buffer series."""
+    """Per-link receive-pipeline, retransmission-buffer and corrupted
+    traversal series."""
     extra = _run_labels(run)
     for key, link in network.links.items():
         label = link_label(key)
+        if link.corrupted_traversals:
+            registry.gauge(
+                "link_corrupted_traversals",
+                "ground-truth corrupted traversals on the wire",
+                link=label, **extra,
+            ).set(link.corrupted_traversals)
         receiver = network.receiver_of(key)
         values = {
             "ecc_flits_accepted": receiver.flits_accepted,
@@ -257,9 +265,9 @@ def collect_trojans(
         ).set(trojan.faults_injected)
 
 
-def collect_simulation(sim, registry: MetricsRegistry) -> None:
-    """Final scrape of one finished (or failed) simulation."""
-    run = sim.scenario.name
+def collect_simulation(sim, registry: MetricsRegistry, run: str) -> None:
+    """Final scrape of one finished (or failed) simulation under its
+    ``run`` label."""
     net = sim.network
     registry.gauge("sim_cycles", "network clock at scrape", run=run).set(
         net.cycle

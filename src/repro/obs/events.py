@@ -18,7 +18,7 @@ simulated behaviour (the determinism proof in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 #: bump on incompatible changes to Event layout or kind semantics
 #: (v2 adds the recovery loop: probe / reinstate / flap_damp / detect;
@@ -157,7 +157,3 @@ class EventBus:
         for sink in sinks:
             sink(event)
         return event
-
-
-def events_to_jsonable(events: Iterable[Event]) -> list[dict]:
-    return [event.to_dict() for event in events]

@@ -86,11 +86,6 @@ def iter_events_jsonl(path: "str | Path") -> Iterator[Event]:
             yield event
 
 
-def read_events_jsonl(path: "str | Path") -> list[Event]:
-    """Every event of a JSONL stream, validated."""
-    return list(iter_events_jsonl(path))
-
-
 def validate_events_jsonl(path: "str | Path") -> int:
     """Number of valid events in the stream (raises on any bad one)."""
     return sum(1 for _ in iter_events_jsonl(path))
@@ -203,6 +198,8 @@ def validate_metrics_json(path: "str | Path") -> dict:
     if not isinstance(metrics, dict):
         raise ObsExportError(f"{path}: 'metrics' must be an object")
     for name, family in metrics.items():
+        # this build writes gauges and histograms only; older exports
+        # with counter families still validate
         if not isinstance(family, dict) or family.get("kind") not in (
             "counter", "gauge", "histogram",
         ):

@@ -5,8 +5,11 @@ and one windowed back-pressure series, and :meth:`~Observability.attach`
 threads them through a :class:`~repro.sim.engine.Simulation` using only
 the network's existing public hook points — injection/ejection hooks,
 link launch/ack hooks, the monitor list and the watchdog's event hooks.
-It observes; it never mutates simulated state, so an observed run is
-byte-identical to an unobserved one.
+The hooks only publish events, and only while a sink listens; the
+registry is filled once per simulation, by the final scrape of the
+components' own counters (:mod:`repro.obs.collectors`).  It observes;
+it never mutates simulated state, so an observed run is byte-identical
+to an unobserved one.
 
 Hooks are module-level classes (not closures) so an instrumented
 simulation still pickles cleanly through :mod:`repro.sim.checkpoint`
@@ -14,7 +17,8 @@ simulation still pickles cleanly through :mod:`repro.sim.checkpoint`
 
 One :class:`Observability` may span several simulations (experiments
 like fig11 run an attacked and a clean network); every emitted series
-and event carries the scenario name as its ``run`` label.  For that
+and event carries its simulation's ``run`` label: the scenario name,
+suffixed ``#k`` when k-1 earlier simulations had that name.  For that
 whole-experiment case the **ambient** instance exists: the runner's
 ``--obs-dir`` flag arms it per experiment via :func:`enable_ambient`,
 and every :class:`~repro.sim.engine.Simulation` built while it is armed
@@ -52,7 +56,7 @@ class ObsConfig:
     (the verdict pipeline, a test's list).
     """
 
-    #: collect metrics (counters/gauges/histograms)
+    #: scrape the components' counters into the registry at finalize
     metrics: bool = True
     #: back-pressure series window in cycles (0 disables the series)
     window: int = 64
@@ -65,22 +69,24 @@ class ObsConfig:
 
 
 # ---------------------------------------------------------------------------
-# picklable hook classes (one per hook point)
+# picklable hook classes (one per hook point); each only publishes its
+# event, and only while a sink listens on the bus
 # ---------------------------------------------------------------------------
-class _InjectHook:
+class _Hook:
+    """The bus a hook publishes on, the run label its events carry and
+    (for link hooks) the link's label."""
+
+    def __init__(self, obs: "Observability", run: str, label: str = ""):
+        self.bus = obs.bus
+        self.run = run
+        self.label = label
+
+
+class _InjectHook(_Hook):
     """``network.injection_hooks`` member: flit entered the NoC."""
 
-    def __init__(self, obs: "Observability", run: str):
-        self.obs = obs
-        self.counter = obs.registry.counter(
-            "noc_flits_injected", "flits accepted into the network",
-            run=run,
-        )
-        self.run = run
-
     def __call__(self, flit, cycle: int) -> None:
-        self.counter.inc()
-        bus = self.obs.bus
+        bus = self.bus
         if bus.sinks:
             bus.emit(
                 "inject", cycle, self.run,
@@ -88,19 +94,11 @@ class _InjectHook:
             )
 
 
-class _EjectHook:
+class _EjectHook(_Hook):
     """``network.ejection_hooks`` member: flit delivered to a core."""
 
-    def __init__(self, obs: "Observability", run: str):
-        self.obs = obs
-        self.counter = obs.registry.counter(
-            "noc_flits_ejected", "flits delivered to cores", run=run
-        )
-        self.run = run
-
     def __call__(self, flit, cycle: int, core: int) -> None:
-        self.counter.inc()
-        bus = self.obs.bus
+        bus = self.bus
         if bus.sinks:
             bus.emit(
                 "deliver", cycle, self.run,
@@ -108,151 +106,90 @@ class _EjectHook:
             )
 
 
-class _LaunchHook:
+class _LaunchHook(_Hook):
     """``link.launch_hooks`` member: corruption + L-Ob on the wire."""
 
-    def __init__(self, obs: "Observability", run: str, label: str):
-        self.obs = obs
-        self.run = run
-        self.label = label
-        self.corrupted = obs.registry.counter(
-            "link_corrupted", "launches a tamperer corrupted",
-            run=run, link=label,
-        )
-        self.obfuscated: dict = {}
-
     def __call__(self, tx, cycle: int, original: int) -> None:
-        obs = self.obs
-        events = obs.bus.sinks
+        bus = self.bus
+        if not bus.sinks:
+            return
         if tx.codeword != original:
-            self.corrupted.inc()
-            if events:
-                obs.bus.emit(
-                    "corrupt", cycle, self.run,
-                    pkt_id=tx.flit.pkt_id, seq=tx.flit.seq,
-                    link=self.label,
-                    bits=(tx.codeword ^ original).bit_count(),
-                )
+            bus.emit(
+                "corrupt", cycle, self.run,
+                pkt_id=tx.flit.pkt_id, seq=tx.flit.seq, link=self.label,
+                bits=(tx.codeword ^ original).bit_count(),
+            )
         ob = tx.ob
         if ob is not None:
-            counter = self.obfuscated.get(ob.method)
-            if counter is None:
-                counter = obs.registry.counter(
-                    "lob_obfuscated_launches",
-                    "launches sent through an L-Ob method",
-                    run=self.run, link=self.label,
-                    method=ob.method.value,
-                )
-                self.obfuscated[ob.method] = counter
-            counter.inc()
-            if events:
-                obs.bus.emit(
-                    "obfuscate", cycle, self.run,
-                    pkt_id=tx.flit.pkt_id, seq=tx.flit.seq,
-                    link=self.label, method=ob.method.value,
-                )
-
-
-class _AckHook:
-    """``link.ack_hooks`` member: NACKs mean a retransmission."""
-
-    def __init__(self, obs: "Observability", run: str, label: str):
-        self.obs = obs
-        self.run = run
-        self.label = label
-        self.nacks = obs.registry.counter(
-            "link_retransmissions", "NACKed transmissions (will retry)",
-            run=run, link=label,
-        )
-
-    def __call__(self, ack, cycle: int, flit) -> None:
-        if ack.ok:
-            return
-        self.nacks.inc()
-        obs = self.obs
-        if obs.bus.sinks:
-            obs.bus.emit(
-                "retransmit", cycle, self.run,
-                pkt_id=flit.pkt_id if flit is not None else None,
-                seq=flit.seq if flit is not None else None,
-                link=self.label, tag=ack.tag,
+            bus.emit(
+                "obfuscate", cycle, self.run,
+                pkt_id=tx.flit.pkt_id, seq=tx.flit.seq, link=self.label,
+                method=ob.method.value,
             )
 
 
-class _EscalateHook:
-    """``watchdog.event_hooks`` member: one ladder rung taken."""
+class _AckHook(_Hook):
+    """``link.ack_hooks`` member: NACKs mean a retransmission."""
 
-    def __init__(self, obs: "Observability", run: str):
-        self.obs = obs
-        self.run = run
+    def __call__(self, ack, cycle: int, flit) -> None:
+        bus = self.bus
+        if ack.ok or not bus.sinks:
+            return
+        bus.emit(
+            "retransmit", cycle, self.run,
+            pkt_id=flit.pkt_id if flit is not None else None,
+            seq=flit.seq if flit is not None else None,
+            link=self.label, tag=ack.tag,
+        )
+
+
+class _EscalateHook(_Hook):
+    """``watchdog.event_hooks`` member: one ladder rung taken."""
 
     def __call__(self, event) -> None:
         from repro.obs.collectors import link_label
 
-        obs = self.obs
-        obs.registry.counter(
-            "watchdog_escalations", "ladder rungs taken",
-            run=self.run, stage=event.stage.value,
-        ).inc()
-        if obs.bus.sinks:
-            obs.bus.emit(
+        if self.bus.sinks:
+            self.bus.emit(
                 "escalate", event.cycle, self.run,
                 link=link_label(event.link), stage=event.stage.value,
                 pkt_id=event.pkt_id, tag=event.tag, detail=event.detail,
             )
 
 
-class _ContainHook:
+class _ContainHook(_Hook):
     """``containment.event_hooks`` member: one coordinator decision."""
 
-    def __init__(self, obs: "Observability", run: str):
-        self.obs = obs
-        self.run = run
-
     def __call__(self, event) -> None:
         from repro.obs.collectors import link_label
 
-        obs = self.obs
-        obs.registry.counter(
-            "containment_events", "coordinator decisions taken",
-            run=self.run, action=event.kind,
-        ).inc()
-        if obs.bus.sinks:
-            label = (
-                link_label(event.link) if event.link is not None else None
+        bus = self.bus
+        if not bus.sinks:
+            return
+        label = link_label(event.link) if event.link is not None else None
+        if event.kind in ("partition_risk", "probe", "reinstate",
+                          "flap_damp"):
+            # first-class bus kinds: the recovery loop's stream is
+            # what the reinstate experiment and dashboards consume
+            bus.emit(
+                event.kind, event.cycle, self.run,
+                link=label, detail=event.detail,
             )
-            if event.kind in ("partition_risk", "probe", "reinstate",
-                              "flap_damp"):
-                # first-class bus kinds: the recovery loop's stream is
-                # what the reinstate experiment and dashboards consume
-                obs.bus.emit(
-                    event.kind, event.cycle, self.run,
-                    link=label, detail=event.detail,
-                )
-            else:
-                obs.bus.emit(
-                    "contain", event.cycle, self.run,
-                    link=label, action=event.kind, detail=event.detail,
-                )
+        else:
+            bus.emit(
+                "contain", event.cycle, self.run,
+                link=label, action=event.kind, detail=event.detail,
+            )
 
 
-class _DetectHook:
+class _DetectHook(_Hook):
     """``detector.event_hooks`` member: one statistical flag raised."""
 
-    def __init__(self, obs: "Observability", run: str):
-        self.obs = obs
-        self.run = run
-
     def __call__(self, event) -> None:
         from repro.obs.collectors import link_label
 
-        obs = self.obs
-        obs.registry.counter(
-            "detector_flags", "traffic-statistics channels flagged",
-            run=self.run, kind=event.kind,
-        ).inc()
-        if obs.bus.sinks:
-            obs.bus.emit(
+        if self.bus.sinks:
+            self.bus.emit(
                 "detect", event.cycle, self.run,
                 link=(
                     link_label(event.link)
@@ -263,23 +200,14 @@ class _DetectHook:
             )
 
 
-class _LocalizeHook:
+class _LocalizeHook(_Hook):
     """``localizer.event_hooks`` member: one attacker placed."""
-
-    def __init__(self, obs: "Observability", run: str):
-        self.obs = obs
-        self.run = run
 
     def __call__(self, event) -> None:
         from repro.obs.collectors import link_label
 
-        obs = self.obs
-        obs.registry.counter(
-            "localize_estimates", "attacker placements named",
-            run=self.run,
-        ).inc()
-        if obs.bus.sinks:
-            obs.bus.emit(
+        if self.bus.sinks:
+            self.bus.emit(
                 "localize", event.cycle, self.run,
                 link=link_label(event.link), router=event.router,
                 score=event.score, detail=event.detail,
@@ -291,8 +219,8 @@ class _WindowCollector:
 
     At every window boundary it folds chip-wide and per-component
     back-pressure into the windowed series (the Fig. 11/12 heatmap
-    substrate) and turns detector verdict *changes* into ``verdict``
-    events.  Pure observer: reads only.
+    substrate) and, while a sink listens, turns detector verdict
+    *changes* into ``verdict`` events.  Pure observer: reads only.
     """
 
     def __init__(self, obs: "Observability", run: str, window: int):
@@ -313,9 +241,8 @@ class _WindowCollector:
             return
         from repro.obs.collectors import link_label
 
-        obs = self.obs
         run = self.run
-        series = obs.series
+        series = self.obs.series
         if series is not None:
             input_util = 0
             for router in network.routers:
@@ -353,27 +280,22 @@ class _WindowCollector:
                         f"{run}/retrans:{link_label(key)}",
                         occupancy,
                     )
+        bus = self.obs.bus
+        if not bus.sinks:
+            return
+        from repro.core.detector import LinkVerdict
+
         # verdict transitions (mitigated networks only)
-        for key, link in network.links.items():
-            receiver = network.receiver_of(key)
-            detector = getattr(receiver, "detector", None)
+        for key in network.links:
+            detector = getattr(network.receiver_of(key), "detector", None)
             if detector is None:
                 continue
             verdict = detector.verdict
             if self._verdicts.get(key) is verdict:
                 continue
             self._verdicts[key] = verdict
-            from repro.core.detector import LinkVerdict
-
-            if verdict is LinkVerdict.UNKNOWN:
-                continue
-            obs.registry.counter(
-                "detector_verdict_changes",
-                "detector verdict transitions",
-                run=run, verdict=verdict.value,
-            ).inc()
-            if obs.bus.sinks:
-                obs.bus.emit(
+            if verdict is not LinkVerdict.UNKNOWN:
+                bus.emit(
                     "verdict", cycle, run,
                     link=link_label(key), verdict=verdict.value,
                 )
@@ -403,7 +325,7 @@ class Observability:
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config or ObsConfig()
-        self.registry = MetricsRegistry(enabled=self.config.metrics)
+        self.registry = MetricsRegistry()
         self.bus = EventBus()
         #: the ``events_jsonl`` sink (None: no file export)
         self.export_sink: Optional[_ExportSink] = None
@@ -417,21 +339,30 @@ class Observability:
             self.bus.sinks.append(self.export_sink)
         self.series: Optional[WindowedSeries] = None
         if self.config.window > 0:
-            self.series = WindowedSeries(self.config.window, agg="max")
-        #: scenario names attached so far, in order
+            self.series = WindowedSeries(self.config.window)
+        #: run labels attached so far, in order: the scenario name, or
+        #: ``name#k`` for the k-th simulation attached under one name
         self.runs: list[str] = []
         #: the last simulation attached and not yet finalized
         self._unfinalized: Optional["Simulation"] = None
 
     # -- attachment ------------------------------------------------------
-    def attach(self, sim: "Simulation") -> "Observability":
-        """Thread this instance through one simulation's hook points."""
+    def attach(self, sim: "Simulation") -> None:
+        """Thread this instance through one simulation's hook points,
+        under a run label no earlier simulation holds (set as
+        ``sim.obs_run``)."""
         # code that steps its simulation itself (advance_to, step,
         # run_until_drained) never finalizes it: do it now, so its
         # series window closes before this run's opens
         self.finalize(self._unfinalized)
         self._unfinalized = sim
-        run = sim.scenario.name
+        name = run = sim.scenario.name
+        k = 1
+        while run in self.runs:
+            k += 1
+            run = f"{name}#{k}"
+        self.runs.append(run)
+        sim.obs_run = run
         self.attach_network(sim.network, run)
         if sim.watchdog is not None:
             sim.watchdog.event_hooks.append(_EscalateHook(self, run))
@@ -441,12 +372,13 @@ class Observability:
             sim.detector.event_hooks.append(_DetectHook(self, run))
         if getattr(sim, "localizer", None) is not None:
             sim.localizer.event_hooks.append(_LocalizeHook(self, run))
-        return self
 
-    def attach_network(self, network: "Network", run: str = "") -> None:
+    def attach_network(self, network: "Network", run: str) -> None:
+        """Hook one network under an attached simulation's run label
+        (also a chaos campaign's next epoch, which swaps the
+        simulation's network)."""
         from repro.obs.collectors import link_label
 
-        self.runs.append(run)
         network.injection_hooks.append(_InjectHook(self, run))
         network.ejection_hooks.append(_EjectHook(self, run))
         for key, link in network.links.items():
@@ -463,7 +395,7 @@ class Observability:
         if self.bus.sinks:
             cycle = sim.network.cycle
             self.bus.emit(
-                "checkpoint", cycle, sim.scenario.name,
+                "checkpoint", cycle, sim.obs_run,
                 checkpoint_cycle=cycle,
                 path=str(path) if path is not None else None,
             )
@@ -477,14 +409,15 @@ class Observability:
             self.bus.emit(
                 "sentinel_trip",
                 getattr(exc, "cycle", sim.network.cycle),
-                sim.scenario.name,
+                sim.obs_run,
                 trip_kind=failure_signature(exc),
                 message=str(exc),
             )
         self.finalize(sim)
 
     def finalize(self, sim: Optional["Simulation"]) -> None:
-        """Final scrape of one finished simulation into the registry.
+        """Final scrape of one finished simulation into the registry
+        (when ``config.metrics`` is on), and close the series window.
 
         Only the last simulation attached and not yet finalized is
         scraped: finalizing it a second time, or any other, does
@@ -495,8 +428,8 @@ class Observability:
         self._unfinalized = None
         from repro.obs.collectors import collect_simulation
 
-        if self.registry.enabled:
-            collect_simulation(sim, self.registry)
+        if self.config.metrics:
+            collect_simulation(sim, self.registry, sim.obs_run)
         if self.series is not None:
             self.series.flush()
 

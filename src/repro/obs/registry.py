@@ -1,20 +1,17 @@
-"""Metrics registry: counters, gauges and histograms with label sets.
+"""Metrics registry: gauges and histograms with label sets.
 
 The registry is the numeric half of the observability layer (the event
-bus in :mod:`repro.obs.events` is the other).  It is deliberately tiny
-and Prometheus-shaped:
+bus in :mod:`repro.obs.events` is the other).  It holds no counter of
+its own: the simulator's components count (``NetworkStats``, the
+receivers, links, watchdog, L-Ob, coordinator), and
+:func:`repro.obs.collectors.collect_simulation` copies their counts in
+at finalize.  It is deliberately tiny and Prometheus-shaped:
 
 * a **family** is a metric name + kind + help string;
 * a **child** is one labelled series inside a family (label values are
   always strings);
-* handles (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) are
-  cached per label set, so hot paths resolve their child once at
-  attach time and then pay a single attribute increment per event.
-
-When the registry is built with ``enabled=False`` every lookup returns
-the shared :data:`NOOP_METRIC` — one allocation for the whole process,
-so the disabled path costs a method call on a singleton and nothing
-else (the perf guard in ``benchmarks/test_bench_obs.py`` pins it).
+* handles (:class:`Gauge`, :class:`Histogram`) are cached per label
+  set.
 
 Everything here is plain picklable data: a registry attached to a
 :class:`~repro.sim.engine.Simulation` survives
@@ -34,46 +31,8 @@ _NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
 DEFAULT_BUCKETS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
-class _NoopMetric:
-    """Shared do-nothing handle returned by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def dec(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    @property
-    def value(self):
-        return 0
-
-
-NOOP_METRIC = _NoopMetric()
-
-
-class Counter:
-    """Monotonically increasing value."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
 class Gauge:
-    """Point-in-time value that may move both ways."""
+    """One scraped value: a component's count at finalize."""
 
     __slots__ = ("value",)
     kind = "gauge"
@@ -83,12 +42,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: int = 1) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -138,14 +91,13 @@ class _Family:
 class MetricsRegistry:
     """A namespace of metric families.
 
-    ``counter(name, **labels)`` / ``gauge`` / ``histogram`` return the
+    ``gauge(name, **labels)`` / ``histogram`` return the
     (cached) child for that exact label set, creating family and child
     on first use.  Asking for an existing name with a different kind
     raises — a family's kind is part of its schema.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
 
     # ------------------------------------------------------------------
@@ -157,8 +109,6 @@ class MetricsRegistry:
         labels: dict,
         factory,
     ):
-        if not self.enabled:
-            return NOOP_METRIC
         family = self._families.get(name)
         if family is None:
             if not _NAME_RE.match(name):
@@ -175,9 +125,6 @@ class MetricsRegistry:
             child = factory()
             family.series[key] = child
         return child
-
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        return self._child(name, "counter", help, labels, Counter)
 
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         return self._child(name, "gauge", help, labels, Gauge)
@@ -230,7 +177,8 @@ class MetricsRegistry:
         return out
 
     def total(self, name: str) -> int:
-        """Sum of a counter/gauge family across all label sets."""
+        """Sum of a gauge family across all label sets (a histogram
+        family sums its observation counts)."""
         family = self._families.get(name)
         if family is None:
             return 0

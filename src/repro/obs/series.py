@@ -1,54 +1,36 @@
 """Cycle-windowed time series.
 
-Two types live here because they are the temporal half of the metrics
-story:
-
-* :class:`WindowedSeries` — named channels rolled up per cycle window
-  (``sum``/``max``/``mean``/``last``).  This is the generalization the
-  back-pressure figures need: the per-router / per-link occupancy
-  channels the collector feeds it form exactly the spatial heatmap
-  series that detector research (DL2Fence-style) consumes.
-* :class:`SampleSeries` — the list type behind
-  :attr:`repro.noc.stats.NetworkStats.samples`.  It **is a list** (so
-  every existing consumer, ``to_jsonable`` path and report byte stays
-  identical) but additionally records the sampling cadence and offers
-  channel extraction and windowed rollups over the stored
-  :class:`~repro.noc.stats.Sample` points.
-
-This module is stdlib-only on purpose: ``repro.noc.stats`` imports it,
-so it must sit below the whole simulator in the layering.
+:class:`WindowedSeries` rolls named channels up per cycle window,
+keeping each channel's maximum: the per-router / per-link occupancy
+channels the window collector feeds it form the spatial back-pressure
+heatmap series of the paper's Figs. 11/12, the substrate
+DL2Fence-style detector research consumes.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-_AGGS = ("last", "sum", "max", "min", "mean")
-
 
 class WindowedSeries:
-    """Per-window rollups of named numeric channels.
+    """Per-window maxima of named numeric channels.
 
     ``observe(cycle, channel, value)`` folds the value into the window
     containing ``cycle`` (windows are aligned: ``[0, w), [w, 2w), ...``).
     Observations must arrive in non-decreasing cycle order (the cycle
     loop guarantees that); a finished window is flushed to
-    :attr:`points` as ``(window_start, {channel: rolled_up_value})``.
+    :attr:`points` as ``(window_start, {channel: max_value})``.
     """
 
-    __slots__ = ("window", "agg", "points", "_start", "_acc", "_counts")
+    __slots__ = ("window", "points", "_start", "_acc")
 
-    def __init__(self, window: int, agg: str = "last") -> None:
+    def __init__(self, window: int) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
-        if agg not in _AGGS:
-            raise ValueError(f"unknown agg {agg!r} (choose from {_AGGS})")
         self.window = window
-        self.agg = agg
         self.points: list[tuple[int, dict]] = []
         self._start: Optional[int] = None
         self._acc: dict = {}
-        self._counts: dict = {}
 
     def observe(self, cycle: int, channel: str, value) -> None:
         start = cycle - cycle % self.window
@@ -62,45 +44,16 @@ class WindowedSeries:
                 )
             self.flush()
             self._start = start
-        agg = self.agg
         acc = self._acc
-        if channel not in acc:
+        if channel not in acc or value > acc[channel]:
             acc[channel] = value
-            if agg == "mean":
-                self._counts[channel] = 1
-            return
-        if agg == "last":
-            acc[channel] = value
-        elif agg == "sum":
-            acc[channel] += value
-        elif agg == "max":
-            if value > acc[channel]:
-                acc[channel] = value
-        elif agg == "min":
-            if value < acc[channel]:
-                acc[channel] = value
-        else:  # mean
-            acc[channel] += value
-            self._counts[channel] += 1
 
     def flush(self) -> None:
         """Close the open window (if any) into :attr:`points`."""
-        if self._start is None or not self._acc:
-            self._start = None
-            self._acc = {}
-            self._counts = {}
-            return
-        if self.agg == "mean":
-            values = {
-                channel: total / self._counts[channel]
-                for channel, total in self._acc.items()
-            }
-        else:
-            values = dict(self._acc)
-        self.points.append((self._start, values))
+        if self._start is not None and self._acc:
+            self.points.append((self._start, self._acc))
         self._start = None
         self._acc = {}
-        self._counts = {}
 
     # ------------------------------------------------------------------
     def channels(self, prefix: str = "") -> list[str]:
@@ -124,7 +77,7 @@ class WindowedSeries:
         """Deterministic plain-data form for the metrics manifest."""
         return {
             "window": self.window,
-            "agg": self.agg,
+            "agg": "max",
             "points": [
                 {
                     "start": start,
@@ -133,41 +86,3 @@ class WindowedSeries:
                 for start, values in self.points
             ],
         }
-
-
-class SampleSeries(list):
-    """``NetworkStats.samples``: a plain list of Sample points plus
-    cadence metadata and rollup helpers.
-
-    Being a ``list`` subclass keeps every historical consumer — index
-    access, ``len``, iteration, ``to_jsonable``'s list path — and the
-    serialized report bytes exactly as they were.  ``interval`` records
-    the cadence the network sampled at (``None`` until the network sets
-    it), so downstream analysis does not have to reverse-engineer it
-    from cycle gaps.
-    """
-
-    #: instance attribute on a list subclass (no __slots__: list
-    #: subclasses with instance dicts pickle fine via __reduce__)
-    def __init__(self, iterable=(), interval: Optional[int] = None):
-        super().__init__(iterable)
-        self.interval = interval
-
-    def __reduce__(self):
-        return (type(self), (list(self), self.interval))
-
-    def channel(self, attr: str) -> list[tuple[int, int]]:
-        """(cycle, value) pairs of one Sample field."""
-        return [(s.cycle, getattr(s, attr)) for s in self]
-
-    def rollup(
-        self, window: int, attrs: tuple[str, ...], agg: str = "max"
-    ) -> WindowedSeries:
-        """Roll the stored samples up into a :class:`WindowedSeries`
-        with one channel per requested Sample field."""
-        series = WindowedSeries(window, agg=agg)
-        for sample in self:
-            for attr in attrs:
-                series.observe(sample.cycle, attr, getattr(sample, attr))
-        series.flush()
-        return series

@@ -395,6 +395,9 @@ class ChaosCampaign:
                         pass
                     else:
                         sim.network = net
+                        if sim.obs is not None:
+                            # so the run's stream covers every epoch
+                            sim.obs.attach_network(net, sim.obs_run)
                         retired.append(old)
                         recovery_cycles.append(net.cycle)
                         audits.append(validator.report)

@@ -146,10 +146,6 @@ class Welford:
         return self.streak >= config.consecutive
 
 
-#: backwards-compatible private alias (pre-serve callers)
-_Welford = Welford
-
-
 class TrafficStatsDetector:
     """Window-boundary monitor feeding the watchdog ladder early."""
 
@@ -160,8 +156,8 @@ class TrafficStatsDetector:
         self.config = config or DetectConfig()
         self.network: Optional[Network] = None
         self.watchdog: Optional["RetransWatchdog"] = None
-        self._links: dict[LinkKey, _Welford] = {}
-        self._routers: dict[int, _Welford] = {}
+        self._links: dict[LinkKey, Welford] = {}
+        self._routers: dict[int, Welford] = {}
         #: channels already flagged (reported once, then left to the
         #: watchdog / containment layers)
         self._flagged_links: set[LinkKey] = set()
@@ -186,9 +182,9 @@ class TrafficStatsDetector:
         self.network = network
         network.monitors.append(self)
         self.watchdog = watchdog
-        self._links = {key: _Welford() for key in network.links}
+        self._links = {key: Welford() for key in network.links}
         self._routers = {
-            rid: _Welford() for rid in range(network.cfg.num_routers)
+            rid: Welford() for rid in range(network.cfg.num_routers)
         }
         return self
 

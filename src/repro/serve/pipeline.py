@@ -33,7 +33,8 @@ from repro.sim.scenario import Scenario
 
 class DetectionPipeline:
     """One extractor and an ordered classifier chain, fed one event at
-    a time."""
+    a time.  Each frame is classified as it closes and then dropped:
+    the pipeline keeps only its verdicts."""
 
     def __init__(
         self,
@@ -47,8 +48,6 @@ class DetectionPipeline:
         #: called with each verdict as it is issued
         self.on_verdict = on_verdict
         self._bus: Optional[EventBus] = None
-        #: every closed frame, in close order
-        self.frames: list[FeatureFrame] = []
         #: every verdict issued, in issue order
         self.verdicts: list[Verdict] = []
 
@@ -80,7 +79,6 @@ class DetectionPipeline:
             self._issue(classifier.finish())
 
     def _classify(self, frame: FeatureFrame) -> None:
-        self.frames.append(frame)
         for classifier in self.classifiers:
             self._issue(classifier.observe(frame))
 
@@ -95,9 +93,6 @@ class DetectionPipeline:
         """The full verdict sequence in canonical JSON form."""
         return [verdict.to_dict() for verdict in self.verdicts]
 
-    def frames_jsonable(self) -> list[dict]:
-        return [frame.to_dict() for frame in self.frames]
-
 
 @dataclass
 class StreamingRun:
@@ -105,7 +100,6 @@ class StreamingRun:
 
     result: RunResult
     verdicts: list[Verdict] = field(default_factory=list)
-    frames: list[FeatureFrame] = field(default_factory=list)
 
     def verdict_stream(self) -> list[dict]:
         return [verdict.to_dict() for verdict in self.verdicts]
@@ -141,7 +135,7 @@ def run_streaming(
             if scenario.defense.detector is not None
             else 64
         )
-    # events-only bundle: no metrics registry, no windowed series (the
+    # events-only bundle: no final scrape, no windowed series (the
     # pipeline rebuilds windows from events), optional JSONL record
     obs = Observability(
         ObsConfig(metrics=False, window=0, events_jsonl=events_jsonl)
@@ -154,11 +148,7 @@ def run_streaming(
     pipeline.finish(up_to=result.cycles)
     if events_jsonl is not None:
         obs.export()
-    return StreamingRun(
-        result=result,
-        verdicts=list(pipeline.verdicts),
-        frames=list(pipeline.frames),
-    )
+    return StreamingRun(result=result, verdicts=pipeline.verdicts)
 
 
 def replay_events(

@@ -41,7 +41,7 @@ from repro.sim.engine import (
     run,
 )
 from repro.sim.sched import EventCore, WakeupWheel
-from repro.sim.cache import ResultCache, cached_run, code_version, spec_hash
+from repro.sim.cache import ResultCache, code_version, spec_hash
 from repro.sim.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -106,7 +106,6 @@ __all__ = [
     "TrojanSpec",
     "attach_trojan_specs",
     "build",
-    "cached_run",
     "code_version",
     "run",
     "spec_hash",

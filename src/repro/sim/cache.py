@@ -14,16 +14,12 @@ killed run never leaves a truncated entry behind.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Optional
-
-from repro.sim.engine import RunResult, run
-from repro.sim.scenario import Scenario
 
 #: cache entry layout version; bump on incompatible changes so old
 #: entries become clean misses instead of being misparsed
@@ -121,25 +117,3 @@ class ResultCache:
                 pass
             raise
         return path
-
-
-def cached_run(
-    scenario: Scenario,
-    cache: Optional[ResultCache] = None,
-    *,
-    full_sweep: bool = False,
-) -> RunResult:
-    """:func:`repro.sim.engine.run` with disk memoization.
-
-    A hit returns the stored :class:`RunResult` without simulating; a
-    miss runs the scenario and stores the result under its content
-    hash + the current code version.
-    """
-    cache = cache or ResultCache()
-    key = scenario.content_hash()
-    payload = cache.get(key)
-    if payload is not None:
-        return RunResult(**payload)
-    result = run(scenario, full_sweep=full_sweep)
-    cache.put(key, dataclasses.asdict(result))
-    return result

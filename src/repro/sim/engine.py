@@ -237,6 +237,10 @@ class Simulation:
         private bundle, an existing ``Observability`` to share one
         across simulations, or leave it ``None`` to pick up the
         ambient (process-wide) instance when one is armed.
+    obs_run:
+        Set by ``obs`` when it attaches: the ``run`` label this
+        simulation's events, series channels and scraped families
+        carry (the scenario name, or ``name#k`` when it repeats).
     """
 
     def __init__(

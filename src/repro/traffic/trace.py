@@ -34,10 +34,6 @@ class Trace:
     def duration(self) -> int:
         return self.packets[-1].created_cycle + 1 if self.packets else 0
 
-    @property
-    def total_flits(self) -> int:
-        return sum(p.num_flits() for p in self.packets)
-
     def router_matrix(self, cfg: NoCConfig) -> list[list[int]]:
         """Router-to-router request counts (Fig. 1a)."""
         matrix = [[0] * cfg.num_routers for _ in range(cfg.num_routers)]

@@ -25,7 +25,7 @@ from repro.util.bits import (
     BitPermutation,
 )
 from repro.util.rng import derive_seed, SeededStream, spread
-from repro.util.records import BoundedTable, RingLog, SaturatingCounter
+from repro.util.records import BoundedTable
 
 __all__ = [
     "bit",
@@ -42,6 +42,4 @@ __all__ = [
     "SeededStream",
     "spread",
     "BoundedTable",
-    "RingLog",
-    "SaturatingCounter",
 ]

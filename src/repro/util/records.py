@@ -1,53 +1,17 @@
 """Small bounded containers used for runtime bookkeeping.
 
-Hardware tables are finite; the threat detector's fault-history store and
-the L-Ob method log are modelled with these bounded structures so the
-simulated hardware cannot accumulate unbounded state.
+Hardware tables are finite; the threat detector's fault-history store
+and the mitigation's data cache are modelled with this bounded table so
+the simulated hardware cannot accumulate unbounded state.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
-
-
-class RingLog(Generic[V]):
-    """Fixed-capacity append-only log; oldest entries are evicted first."""
-
-    __slots__ = ("capacity", "_items", "_dropped")
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: list[V] = []
-        self._dropped = 0
-
-    def append(self, item: V) -> None:
-        self._items.append(item)
-        if len(self._items) > self.capacity:
-            del self._items[0]
-            self._dropped += 1
-
-    @property
-    def dropped(self) -> int:
-        """Entries evicted so far."""
-        return self._dropped
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[V]:
-        return iter(self._items)
-
-    def __getitem__(self, idx: int) -> V:
-        return self._items[idx]
-
-    def clear(self) -> None:
-        self._items.clear()
 
 
 class BoundedTable(Generic[K, V]):
@@ -88,38 +52,3 @@ class BoundedTable(Generic[K, V]):
 
     def clear(self) -> None:
         self._table.clear()
-
-
-class SaturatingCounter:
-    """An ``n``-bit saturating up/down counter (hardware idiom)."""
-
-    __slots__ = ("maximum", "value")
-
-    def __init__(self, bits: int, initial: int = 0):
-        if bits <= 0:
-            raise ValueError("bits must be positive")
-        self.maximum = (1 << bits) - 1
-        if not 0 <= initial <= self.maximum:
-            raise ValueError("initial value out of range")
-        self.value = initial
-
-    def up(self, amount: int = 1) -> int:
-        self.value = min(self.maximum, self.value + amount)
-        return self.value
-
-    def down(self, amount: int = 1) -> int:
-        self.value = max(0, self.value - amount)
-        return self.value
-
-    @property
-    def saturated(self) -> bool:
-        return self.value == self.maximum
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SaturatingCounter(value={self.value}, max={self.maximum})"

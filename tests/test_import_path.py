@@ -2,7 +2,8 @@
 
 The package declares no runtime dependency, so importing it and
 running a simulation must work on an interpreter without numpy and
-must not load it.
+must not load it.  The network model sits below the observability
+layer, so importing it loads no ``repro.obs`` module.
 """
 
 import os
@@ -58,6 +59,15 @@ import repro.experiments.runner
 assert "numpy" not in sys.modules, "importing the runner loaded numpy"
 """
 
+_NOC_IMPORT = """\
+import sys
+
+import repro.noc
+
+loaded = sorted(name for name in sys.modules if name.startswith("repro.obs"))
+assert not loaded, f"importing repro.noc loaded {loaded}"
+"""
+
 
 def _run_child(source: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -78,4 +88,9 @@ def test_simulates_without_numpy():
 
 def test_runner_import_does_not_load_numpy():
     proc = _run_child(_PLAIN_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_noc_import_loads_no_obs_module():
+    proc = _run_child(_NOC_IMPORT)
     assert proc.returncode == 0, proc.stderr

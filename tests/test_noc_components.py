@@ -6,7 +6,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.credit import CreditTracker
 from repro.noc.flit import FlitType, Packet
 from repro.noc.link import AckMessage, Link, Transmission
@@ -82,23 +82,6 @@ class TestRoundRobinArbiter:
             arb.grant_indices([1, bad])
         # a rejected request leaves the arbiter untouched
         assert arb.peek_priority() == 3 and arb.grants == 1
-
-
-class TestMatrixArbiter:
-    def test_least_recently_granted(self):
-        arb = MatrixArbiter(3)
-        first = arb.grant([True, True, True])
-        second = arb.grant([True, True, True])
-        assert first != second
-
-    def test_all_get_served(self):
-        arb = MatrixArbiter(3)
-        seen = {arb.grant([True, True, True]) for _ in range(3)}
-        assert seen == {0, 1, 2}
-
-    def test_single_requester(self):
-        arb = MatrixArbiter(4)
-        assert arb.grant([False, False, True, False]) == 2
 
 
 class TestCreditTracker:

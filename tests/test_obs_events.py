@@ -9,7 +9,6 @@ from repro.obs.events import (
     EventBus,
     EventSchemaError,
     event_from_dict,
-    events_to_jsonable,
     validate_event_dict,
 )
 
@@ -51,11 +50,6 @@ class TestSchema:
         with pytest.raises(EventSchemaError, match="cycle"):
             validate_event_dict({"v": EVENT_SCHEMA_VERSION,
                                  "kind": "inject", "cycle": "soon"})
-
-    def test_events_to_jsonable(self):
-        events = [Event(kind="inject", cycle=c) for c in range(3)]
-        dicts = events_to_jsonable(events)
-        assert [d["cycle"] for d in dicts] == [0, 1, 2]
 
 
 class TestBus:

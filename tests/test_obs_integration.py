@@ -8,6 +8,7 @@ notifications, forensics embedding, the ambient instance, profiling,
 runner integration — layers on top of that guarantee.
 """
 
+import collections
 import dataclasses
 import json
 
@@ -122,9 +123,9 @@ class TestPureObserver:
         )
         # ...while the observer actually saw the attack
         obs = observed.obs
-        assert obs.registry.total("noc_flits_injected") > 0
-        assert obs.registry.total("link_corrupted") > 0
-        assert obs.registry.total("link_retransmissions") > 0
+        assert obs.registry.total("stats_flits_injected") > 0
+        assert obs.registry.total("link_corrupted_traversals") > 0
+        assert obs.registry.total("ecc_nacks_sent") > 0
 
     def test_no_obs_attaches_no_hooks(self):
         sim = Simulation(quiet_scenario())
@@ -162,7 +163,9 @@ class TestPureObserver:
         # the hooks still saw every corruption on the infected link
         corrupts = [e for e in events if e.kind == "corrupt"]
         assert corrupts
-        assert len(corrupts) == observed.obs.registry.total("link_corrupted")
+        assert len(corrupts) == observed.obs.registry.total(
+            "link_corrupted_traversals"
+        )
 
 
 class TestEventCapture:
@@ -185,9 +188,14 @@ class TestEventCapture:
         assert verdicts, "detector verdicts never surfaced as events"
         infected = link_label((0, Direction.EAST))
         assert any(e.data["link"] == infected for e in verdicts)
-        assert sim.obs.registry.total("detector_verdict_changes") >= len(
-            {(e.data["link"], e.data["verdict"]) for e in verdicts}
-        )
+        # each link's last verdict event is the verdict its detector
+        # holds at the final scrape
+        last = {e.data["link"]: e.data["verdict"] for e in verdicts}
+        for link, verdict in last.items():
+            assert sim.obs.registry.get(
+                "detector_verdict", link=link, run="obs-attacked",
+                verdict=verdict,
+            ) is not None
 
     def test_windowed_series_carries_backpressure_channels(self):
         sim = Simulation(attacked_scenario(), obs=ObsConfig(window=32))
@@ -205,7 +213,31 @@ class TestEventCapture:
         sim.run()
         assert sim.obs.export_sink is None
         assert sim.obs.bus.published == 0
-        assert sim.obs.registry.total("noc_flits_injected") > 0
+        assert sim.obs.registry.total("stats_flits_injected") > 0
+
+
+class TestOneStatisticsCore:
+    """The registry holds only what the final scrape copied from the
+    components' own counters, and those agree with the event stream."""
+
+    @pytest.mark.parametrize("mitigated", [True, False])
+    def test_scraped_counts_match_the_event_stream(self, mitigated):
+        sim = Simulation(
+            attacked_scenario(defense=DefenseSpec(mitigated=mitigated)),
+            obs=ObsConfig(),
+        )
+        events = listen(sim)
+        sim.run()
+        registry = sim.obs.registry
+        kinds = {family["kind"] for family in registry.snapshot().values()}
+        assert kinds == {"gauge", "histogram"}
+        counts = collections.Counter(event.kind for event in events)
+        assert counts["corrupt"] > 0
+        assert registry.total("stats_flits_injected") == counts["inject"]
+        assert registry.total("stats_flits_ejected") == counts["deliver"]
+        assert (
+            registry.total("link_corrupted_traversals") == counts["corrupt"]
+        )
 
 
 class TestFullQueuesFlush:
@@ -220,7 +252,7 @@ class TestFullQueuesFlush:
         self, tmp_path, monkeypatch
     ):
         from repro.experiments import fig11_backpressure as fig11
-        from repro.obs.exporters import read_events_jsonl
+        from repro.obs.exporters import iter_events_jsonl
         from repro.serve.classify import ZScoreClassifier
         from repro.serve.pipeline import DetectionPipeline, replay_events
 
@@ -241,7 +273,7 @@ class TestFullQueuesFlush:
         assert events["dropped"] == 0 and events["queued"] == 0
         with open(path) as fh:
             assert sum(1 for _ in fh) == events["published"]
-        replayed = replay_events(read_events_jsonl(path), [ZScoreClassifier()])
+        replayed = replay_events(iter_events_jsonl(path), [ZScoreClassifier()])
         stream = pipeline.verdict_stream()
         assert [v["subject"] for v in stream] == ["4->SOUTH"]
         assert replayed.verdict_stream() == stream
@@ -334,12 +366,6 @@ class TestWatchdogEscalations:
                 pkt_id=7,
                 detail="forced L-Ob",
             )
-        )
-        assert (
-            obs.registry.get(
-                "watchdog_escalations", run="ladder", stage="obfuscate"
-            ).value
-            == 1
         )
         (event,) = events
         assert event.kind == "escalate"
@@ -443,17 +469,16 @@ class TestSamplingCadence:
         sim = Simulation(quiet_scenario(sample_interval=0))
         result = sim.run()
         assert result.num_samples == 0
-        assert list(sim.network.stats.samples) == []
-        assert sim.network.stats.samples.interval is None
+        assert sim.network.stats.samples == []
 
     def test_cadence_is_mirrored_onto_the_series(self):
+        # NetworkStats.samples is a plain list; its rows land on the
+        # network's sampling cadence
         sim = Simulation(quiet_scenario(sample_interval=20))
         sim.run()
         samples = sim.network.stats.samples
-        assert samples.interval == 20
+        assert samples
         assert all(s.cycle % 20 == 0 for s in samples)
-        rolled = samples.rollup(40, ("input_utilization",), agg="max")
-        assert rolled.window == 40
 
 
 class TestSecurityReportAdapter:
@@ -548,7 +573,8 @@ class TestCampaignMetrics:
         finally:
             disable_ambient()
         assert first == second == unobserved
-        assert obs.runs == ["obs-fuzz", "obs-fuzz"]
+        # one label per simulation
+        assert obs.runs == ["obs-fuzz", "obs-fuzz#2"]
 
     def test_reports_embed_deterministic_metrics(self):
         first = self.run_campaign()
@@ -560,3 +586,32 @@ class TestCampaignMetrics:
         assert (
             delivered[0]["value"] == first.packets_delivered
         )
+
+
+class TestChaosUnderObservation:
+    def test_one_label_per_simulation_and_every_epoch_observed(self):
+        """Repeated scenario names get ``#k`` labels, and a campaign's
+        recovered epochs publish under their simulation's label."""
+        from repro.experiments import chaos
+
+        bare = chaos.run()
+        obs = enable_ambient(ObsConfig())
+        events = []
+        obs.bus.sinks.append(events.append)
+        try:
+            observed = chaos.run()
+        finally:
+            disable_ambient()
+        assert observed == bare
+        assert len(set(obs.runs)) == len(obs.runs)
+        # the explanation pass re-runs no-watchdog under new labels
+        assert "no-watchdog#2" in obs.runs
+        for report in (observed.ladder, observed.bare_watchdog):
+            assert obs.runs.count(report.name) == 1
+            recovered = report.recovery_cycles[-1]
+            assert any(
+                event.kind == "deliver"
+                and event.run == report.name
+                and event.cycle > recovered
+                for event in events
+            ), f"{report.name}: no delivery observed after recovery"

@@ -5,29 +5,19 @@ import pickle
 
 import pytest
 
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NOOP_METRIC,
-)
+from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 
 
 class TestHandles:
-    def test_counter_accumulates(self):
-        reg = MetricsRegistry()
-        c = reg.counter("flits_total")
-        c.inc()
-        c.inc(3)
-        assert c.value == 4
-        assert reg.total("flits_total") == 4
-
     def test_gauge_moves_both_ways(self):
         reg = MetricsRegistry()
         g = reg.gauge("occupancy")
         g.set(7)
-        g.dec(2)
-        g.inc()
+        g.set(5)
+        assert g.value == 5
+        g.set(6)
         assert g.value == 6
+        assert reg.total("occupancy") == 6
 
     def test_histogram_cumulative_buckets(self):
         reg = MetricsRegistry()
@@ -51,16 +41,16 @@ class TestHandles:
 class TestLabelSets:
     def test_same_labels_same_handle(self):
         reg = MetricsRegistry()
-        a = reg.counter("hits", link="0->EAST", run="x")
-        b = reg.counter("hits", run="x", link="0->EAST")  # order-free
+        a = reg.gauge("hits", link="0->EAST", run="x")
+        b = reg.gauge("hits", run="x", link="0->EAST")  # order-free
         assert a is b
-        a.inc()
+        a.set(1)
         assert b.value == 1
 
     def test_different_labels_different_children(self):
         reg = MetricsRegistry()
-        reg.counter("hits", link="a").inc()
-        reg.counter("hits", link="b").inc(2)
+        reg.gauge("hits", link="a").set(1)
+        reg.gauge("hits", link="b").set(2)
         assert reg.total("hits") == 3
         assert reg.get("hits", link="b").value == 2
         assert reg.get("hits", link="missing") is None
@@ -68,35 +58,19 @@ class TestLabelSets:
 
     def test_label_values_coerced_to_strings(self):
         reg = MetricsRegistry()
-        a = reg.counter("hits", router=3)
-        b = reg.counter("hits", router="3")
+        a = reg.gauge("hits", router=3)
+        b = reg.gauge("hits", router="3")
         assert a is b
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.counter("thing")
-        with pytest.raises(ValueError, match="is a counter"):
-            reg.gauge("thing")
+        reg.gauge("thing")
+        with pytest.raises(ValueError, match="is a gauge"):
+            reg.histogram("thing")
 
     def test_invalid_name_raises(self):
         with pytest.raises(ValueError, match="invalid metric name"):
-            MetricsRegistry().counter("bad name!")
-
-
-class TestDisabled:
-    def test_disabled_registry_hands_out_the_shared_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("anything", whatever="x")
-        assert c is NOOP_METRIC
-        assert reg.histogram("h") is NOOP_METRIC
-        c.inc()
-        c.observe(5)
-        c.set(9)
-        assert c.value == 0
-        # nothing was recorded anywhere
-        assert reg.families() == []
-        assert reg.snapshot() == {}
-        assert reg.total("anything") == 0
+            MetricsRegistry().gauge("bad name!")
 
 
 class TestSnapshot:
@@ -104,7 +78,7 @@ class TestSnapshot:
         def build(order):
             reg = MetricsRegistry()
             for name, labels in order:
-                reg.counter(name, **labels).inc()
+                reg.gauge(name, **labels).set(1)
             return json.dumps(reg.snapshot(), sort_keys=True)
 
         entries = [
@@ -138,9 +112,11 @@ class TestSnapshot:
 
 def test_registry_pickles_with_live_handles():
     reg = MetricsRegistry()
-    reg.counter("hits", link="a").inc(5)
+    reg.gauge("hits", link="a").set(5)
     reg.histogram("lat").observe(12)
     clone = pickle.loads(pickle.dumps(reg))
     assert clone.snapshot() == reg.snapshot()
-    clone.counter("hits", link="a").inc()
+    clone.gauge("hits", link="a").set(6)
+    clone.histogram("lat").observe(3)
     assert clone.total("hits") == 6
+    assert clone.total("lat") == 2

@@ -1,51 +1,30 @@
 """Tests for cycle-windowed time series (repro.obs.series)."""
 
-import pickle
-
 import pytest
 
-from repro.noc.stats import Sample
-from repro.obs.series import SampleSeries, WindowedSeries
-
-
-def make_sample(cycle, input_util=0, output_util=0):
-    return Sample(
-        cycle=cycle,
-        input_utilization=input_util,
-        output_utilization=output_util,
-        injection_utilization=0,
-        routers_with_blocked_port=0,
-        routers_all_cores_full=0,
-        routers_half_cores_full=0,
-    )
+from repro.obs.series import WindowedSeries
 
 
 class TestWindowedSeries:
     def test_rollup_matches_hand_computed_trace(self):
-        # window 8, max agg: the exact rollup the heatmap series uses
-        series = WindowedSeries(8, agg="max")
+        # window 8: each window keeps each channel's maximum, the
+        # rollup the heatmap series uses
+        series = WindowedSeries(8)
         trace = [(0, 3), (4, 7), (7, 5), (8, 2), (12, 9), (16, 1)]
         for cycle, value in trace:
             series.observe(cycle, "util", value)
         series.flush()
         assert series.channel("util") == [(0, 7), (8, 9), (16, 1)]
 
-    @pytest.mark.parametrize(
-        "agg,expected",
-        [
-            ("last", 5),
-            ("sum", 15),
-            ("max", 7),
-            ("min", 3),
-            ("mean", 5.0),
-        ],
-    )
+    # max is the one roll-up left; the table keeps its case name
+    @pytest.mark.parametrize("agg,expected", [("max", 7)])
     def test_every_agg(self, agg, expected):
-        series = WindowedSeries(10, agg=agg)
+        series = WindowedSeries(10)
         for cycle, value in ((0, 3), (4, 7), (9, 5)):
             series.observe(cycle, "c", value)
         series.flush()
         assert series.channel("c") == [(0, expected)]
+        assert series.to_jsonable()["agg"] == agg
 
     def test_windows_are_aligned_not_relative(self):
         series = WindowedSeries(100)
@@ -78,61 +57,17 @@ class TestWindowedSeries:
         assert len(series.points) == 1
 
     def test_to_jsonable_sorts_channels(self):
-        series = WindowedSeries(4, agg="sum")
+        series = WindowedSeries(4)
         series.observe(0, "z", 1)
         series.observe(1, "a", 2)
         series.flush()
         assert series.to_jsonable() == {
             "window": 4,
-            "agg": "sum",
+            "agg": "max",
             "points": [{"start": 0, "values": {"a": 2, "z": 1}}],
         }
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             WindowedSeries(0)
-        with pytest.raises(ValueError):
-            WindowedSeries(8, agg="median")
 
-
-class TestSampleSeries:
-    def test_is_a_list(self):
-        series = SampleSeries()
-        series.append(make_sample(0))
-        series.append(make_sample(10))
-        assert isinstance(series, list)
-        assert len(series) == 2
-        assert series[1].cycle == 10
-
-    def test_interval_metadata(self):
-        series = SampleSeries(interval=10)
-        assert series.interval == 10
-        assert SampleSeries().interval is None
-
-    def test_channel_extraction(self):
-        series = SampleSeries(
-            [make_sample(0, input_util=3), make_sample(10, input_util=5)]
-        )
-        assert series.channel("input_utilization") == [(0, 3), (10, 5)]
-
-    def test_rollup_vs_hand_computed(self):
-        series = SampleSeries(
-            [
-                make_sample(0, input_util=3, output_util=1),
-                make_sample(10, input_util=9, output_util=0),
-                make_sample(20, input_util=4, output_util=6),
-            ],
-            interval=10,
-        )
-        rolled = series.rollup(
-            20, ("input_utilization", "output_utilization"), agg="max"
-        )
-        assert rolled.channel("input_utilization") == [(0, 9), (20, 4)]
-        assert rolled.channel("output_utilization") == [(0, 1), (20, 6)]
-
-    def test_pickle_preserves_samples_and_interval(self):
-        series = SampleSeries([make_sample(0), make_sample(5)], interval=5)
-        clone = pickle.loads(pickle.dumps(series))
-        assert isinstance(clone, SampleSeries)
-        assert clone.interval == 5
-        assert [s.cycle for s in clone] == [0, 5]

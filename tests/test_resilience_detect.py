@@ -18,7 +18,7 @@ from repro.noc.topology import Direction
 from repro.resilience.detect import (
     DetectConfig,
     TrafficStatsDetector,
-    _Welford,
+    Welford,
 )
 from repro.resilience.watchdog import RetransWatchdog, WatchdogConfig
 
@@ -28,7 +28,7 @@ LINK = (0, Direction.EAST)
 
 class TestWelford:
     def test_mean_and_z(self):
-        w = _Welford()
+        w = Welford()
         for x in (10.0, 12.0, 8.0, 10.0):
             w.admit(x)
         assert w.mean == pytest.approx(10.0)
@@ -36,14 +36,14 @@ class TestWelford:
         assert w.z_score(20.0) > 4.0
 
     def test_flat_baseline_step_is_infinitely_surprising(self):
-        w = _Welford()
+        w = Welford()
         for _ in range(10):
             w.admit(0.0)
         assert w.z_score(0.0) == 0.0
         assert math.isinf(w.z_score(1.0))
 
     def test_too_few_samples_never_scores(self):
-        w = _Welford()
+        w = Welford()
         w.admit(5.0)
         assert w.z_score(100.0) == 0.0
 
@@ -61,7 +61,7 @@ class TestObservationPolicy:
 
     def test_warmup_admits_unconditionally(self):
         d = self.detector()
-        stats = _Welford()
+        stats = Welford()
         # a wild warmup value raises no flag, it just widens the baseline
         flags = _observe_series(d, stats, [1.0, 1.0, 99.0, 1.0])
         assert flags == [False] * 4
@@ -69,7 +69,7 @@ class TestObservationPolicy:
 
     def test_step_change_flags_after_consecutive_windows(self):
         d = self.detector()
-        stats = _Welford()
+        stats = Welford()
         flags = _observe_series(
             d, stats, [1.0, 2.0, 1.0, 2.0] + [50.0, 50.0]
         )
@@ -78,7 +78,7 @@ class TestObservationPolicy:
 
     def test_single_spike_is_not_enough(self):
         d = self.detector()
-        stats = _Welford()
+        stats = Welford()
         flags = _observe_series(
             d, stats, [1.0, 2.0, 1.0, 2.0, 50.0, 1.0, 50.0, 1.0]
         )
@@ -88,7 +88,7 @@ class TestObservationPolicy:
         """An attack cannot drag the threshold up under itself: the
         baseline mean is unchanged by the anomalous windows."""
         d = self.detector()
-        stats = _Welford()
+        stats = Welford()
         _observe_series(d, stats, [1.0, 2.0, 1.0, 2.0])
         before = stats.mean
         _observe_series(d, stats, [80.0])

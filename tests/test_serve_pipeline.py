@@ -16,8 +16,10 @@ from repro.core import TargetSpec
 from repro.noc.config import PAPER_CONFIG
 from repro.noc.topology import Direction
 from repro.experiments.export import to_jsonable
-from repro.obs.exporters import read_events_jsonl
+from repro.obs.exporters import iter_events_jsonl
+from repro.obs.instrument import ObsConfig
 from repro.serve.classify import default_classifiers
+from repro.serve.features import FeatureExtractor
 from repro.serve.pipeline import (
     DetectionPipeline,
     replay_events,
@@ -120,7 +122,7 @@ class TestDeterminism:
         live = run_streaming(dos_scenario(), events_jsonl=str(record))
         scenario = dos_scenario()
         replayed = replay_events(
-            read_events_jsonl(record),
+            iter_events_jsonl(record),
             default_classifiers(scenario),
             window=64,
             up_to=live.result.cycles,
@@ -128,9 +130,28 @@ class TestDeterminism:
         assert json.dumps(
             replayed.verdict_stream(), sort_keys=True
         ) == stream_of(live)
-        assert json.dumps(replayed.frames_jsonable()) == json.dumps(
-            [f.to_dict() for f in live.frames]
+
+    def test_recorded_stream_rebuilds_the_live_frames(self, tmp_path):
+        """One extractor fed the live events through a list sink, one
+        fed the recorded file: their frames are byte-identical."""
+        record = tmp_path / "events.jsonl"
+        sim = Simulation(
+            dos_scenario(),
+            obs=ObsConfig(metrics=False, window=0, events_jsonl=str(record)),
         )
+        events = []
+        sim.obs.bus.sinks.append(events.append)
+        cycles = sim.run().cycles
+        sim.obs.export()
+
+        def frames(stream) -> str:
+            extractor = FeatureExtractor(64)
+            closed = [f for event in stream for f in extractor.add(event)]
+            closed += extractor.flush(cycles)
+            assert closed
+            return json.dumps([f.to_dict() for f in closed])
+
+        assert frames(events) == frames(iter_events_jsonl(record))
 
 
 class TestCallbacksAndLimits:

@@ -10,7 +10,6 @@ from repro.sim import (
     PacketSpec,
     ResultCache,
     Scenario,
-    cached_run,
     code_version,
     spec_hash,
 )
@@ -111,22 +110,6 @@ class TestResultCache:
 
 
 class TestCachedRun:
-    def test_second_run_skips_simulation(self, cache, monkeypatch):
-        first = cached_run(tiny_scenario(), cache)
-
-        def boom(*a, **k):  # pragma: no cover - would fail the test
-            raise AssertionError("simulated on a cache hit")
-
-        monkeypatch.setattr(cache_mod, "run", boom)
-        second = cached_run(tiny_scenario(), cache)
-        assert second == first
-        assert second.packets_completed == 1
-
-    def test_different_scenarios_do_not_collide(self, cache):
-        a = cached_run(tiny_scenario("a"), cache)
-        b = cached_run(tiny_scenario("b"), cache)
-        assert a.name == "a" and b.name == "b"
-
     def test_spec_hash_is_order_insensitive(self):
         assert spec_hash({"a": 1, "b": 2}) == spec_hash({"b": 2, "a": 1})
         assert spec_hash({"a": 1}) != spec_hash({"a": 2})

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.records import BoundedTable, RingLog, SaturatingCounter
+from repro.util.records import BoundedTable
 from repro.util.rng import SeededStream, derive_seed, spread
 
 
@@ -128,32 +128,6 @@ class TestSpread:
         assert abs(sum(parts) - 42.0) < 1e-9
 
 
-class TestRingLog:
-    def test_append_and_len(self):
-        log = RingLog(3)
-        log.append(1)
-        log.append(2)
-        assert len(log) == 2
-        assert list(log) == [1, 2]
-
-    def test_eviction_order(self):
-        log = RingLog(3)
-        for i in range(5):
-            log.append(i)
-        assert list(log) == [2, 3, 4]
-        assert log.dropped == 2
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RingLog(0)
-
-    def test_clear(self):
-        log = RingLog(2)
-        log.append("x")
-        log.clear()
-        assert len(log) == 0
-
-
 class TestBoundedTable:
     def test_put_get(self):
         t = BoundedTable(2)
@@ -181,26 +155,3 @@ class TestBoundedTable:
         t.put("b", 3)
         assert len(t) == 2
         assert t.get("a") == 2
-
-
-class TestSaturatingCounter:
-    def test_saturates_up(self):
-        c = SaturatingCounter(2)
-        for _ in range(10):
-            c.up()
-        assert c.value == 3
-        assert c.saturated
-
-    def test_floors_at_zero(self):
-        c = SaturatingCounter(2, initial=1)
-        c.down(5)
-        assert c.value == 0
-
-    def test_reset(self):
-        c = SaturatingCounter(3, initial=5)
-        c.reset()
-        assert c.value == 0
-
-    def test_bad_initial(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(2, initial=9)
