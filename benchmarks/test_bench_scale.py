@@ -4,7 +4,10 @@ One uniform-random benign workload, identical injection rate and
 horizon, swept across mesh sizes (and the 8x8 torus for the wrap
 machinery's overhead).  Each test records its simulated cycle count so
 ``BENCH_scale.json`` carries cycles/sec per topology — the trajectory
-CI watches as the topology layer grows.
+CI watches as the topology layer grows — and, next to it, the traced
+Python allocation a freshly built network of that topology keeps per
+router (``build_kib_per_router``, from a separate build outside the
+timed run).
 
 The assertions pin sanity, not speed: every run must deliver traffic
 and finish its horizon.  Set ``REPRO_BENCH_QUICK=1`` to shrink the
@@ -16,6 +19,8 @@ import os
 import pytest
 
 from repro.noc.config import NoCConfig
+from repro.noc.network import Network
+from repro.obs.perf import traced_build
 from repro.sim import Scenario, Simulation, SyntheticTraffic
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -52,6 +57,10 @@ def scale_scenario(cfg: NoCConfig) -> Scenario:
 
 @pytest.mark.parametrize("cfg", MESHES)
 def test_scale(cfg, once, bench_meta):
+    _, held = traced_build(lambda: Network(cfg))
+    bench_meta["build_kib_per_router"] = round(
+        held / cfg.num_routers / 1024, 2
+    )
     sim = Simulation(scale_scenario(cfg))
     result = once(sim.run)
     bench_meta["cycles"] = sim.network.cycle

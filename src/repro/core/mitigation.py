@@ -162,6 +162,52 @@ class DetectingReceiver(EccReceiver):
                 self._cache_and_resolve(staged.own_tag, recovered, cycle)
 
 
+class LinkMitigation:
+    """Builds the mitigation on both ends of each link: a threat
+    detector (with BIST) and L-Ob decoder downstream, an L-Ob encoder
+    upstream, sharing the link's shuffle secret.
+
+    ``receiver`` and ``encoder`` are a network's receiver and L-Ob
+    factories.  A network keeps them to rebuild its links for a
+    recovery epoch, so they are methods of a plain object rather than
+    closures: a network that holds them still pickles into a
+    checkpoint.
+    """
+
+    def __init__(self, mitigation: MitigationConfig):
+        self.mitigation = mitigation
+        #: per-link transforms, shared by both ends of the link
+        self._codecs: dict[tuple, LObCodec] = {}
+
+    def _codec_for(self, cfg: NoCConfig, link: Link) -> LObCodec:
+        key = link.key
+        if key not in self._codecs:
+            self._codecs[key] = LObCodec(
+                cfg.flit_bits, derive_seed(self.mitigation.lob_seed, key)
+            )
+        return self._codecs[key]
+
+    def receiver(self, cfg: NoCConfig, link: Link) -> DetectingReceiver:
+        mcfg = self.mitigation
+        bist = BistScanner(
+            SECDED_72_64.codeword_bits,
+            SeededStream(cfg.seed, "bist", link.key),
+        )
+        detector = ThreatDetector(mcfg.detector, link, bist)
+        return DetectingReceiver(
+            cfg, link, detector, self._codec_for(cfg, link), mcfg
+        )
+
+    def encoder(self, cfg: NoCConfig, link: Link) -> LObEncoder:
+        mcfg = self.mitigation
+        return LObEncoder(
+            self._codec_for(cfg, link),
+            method_sequence=mcfg.method_sequence,
+            flow_log_capacity=mcfg.flow_log_capacity,
+            reorder_window=mcfg.reorder_window,
+        )
+
+
 def build_mitigated_network(
     cfg: NoCConfig,
     mitigation: Optional[MitigationConfig] = None,
@@ -170,38 +216,10 @@ def build_mitigated_network(
     """A NoC with the paper's full mitigation on every link: per-link
     threat detectors (with BIST) downstream and L-Ob encoders upstream,
     sharing per-link shuffle secrets."""
-    mcfg = mitigation or MitigationConfig()
-    codecs: dict[tuple, LObCodec] = {}
-
-    def codec_for(link: Link) -> LObCodec:
-        key = link.key
-        if key not in codecs:
-            codecs[key] = LObCodec(
-                cfg.flit_bits, derive_seed(mcfg.lob_seed, key)
-            )
-        return codecs[key]
-
-    def receiver_factory(cfg_: NoCConfig, link: Link) -> DetectingReceiver:
-        bist = BistScanner(
-            SECDED_72_64.codeword_bits,
-            SeededStream(cfg_.seed, "bist", link.key),
-        )
-        detector = ThreatDetector(mcfg.detector, link, bist)
-        return DetectingReceiver(
-            cfg_, link, detector, codec_for(link), mcfg
-        )
-
-    def lob_factory(cfg_: NoCConfig, link: Link) -> LObEncoder:
-        return LObEncoder(
-            codec_for(link),
-            method_sequence=mcfg.method_sequence,
-            flow_log_capacity=mcfg.flow_log_capacity,
-            reorder_window=mcfg.reorder_window,
-        )
-
+    hardware = LinkMitigation(mitigation or MitigationConfig())
     return Network(
         cfg,
-        receiver_factory=receiver_factory,
-        lob_factory=lob_factory,
+        receiver_factory=hardware.receiver,
+        lob_factory=hardware.encoder,
         **network_kwargs,
     )

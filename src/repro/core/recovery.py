@@ -184,16 +184,27 @@ class RecoveryManager:
         drained = old.run_until_drained(drain_limit, stall_limit=stall_limit)
         drain_cycles = old.cycle - start
 
-        # 4. new epoch: same microarchitecture, reconfigured routing
+        # 4. new epoch: same microarchitecture, reconfigured routing;
+        # each link's two ends come from the factories that built the
+        # old network's (a mitigated network's detectors and L-Ob)
         cfg = dataclasses.replace(old.cfg, routing="table")
         try:
             table = updown_table(old.cfg, condemned)
         except UnroutableError:
             old.traffic = source
             raise
-        fresh = Network(cfg, routing_table=table, e2e=old.e2e,
-                        policy=old.policy)
+        fresh = Network(
+            cfg,
+            policy=old.policy,
+            receiver_factory=old.receiver_factory,
+            lob_factory=old.lob_factory,
+            routing_table=table,
+            e2e=old.e2e,
+            codec=old.codec,
+        )
         fresh.full_sweep = old.full_sweep
+        fresh.sample_interval = old.sample_interval
+        fresh.profiler = old.profiler
         disable_both_ways(fresh, condemned)
         if carry_tamperers:
             # the trojans are in the silicon: they persist across epochs

@@ -27,8 +27,9 @@ Checked invariant families (selectable via ``families``):
   (flit tallies per router and per input port, the per-stage VC
   worklists, each VC's resolved output port, each receiver's staged
   count) agrees with a recount from the VC buffers and staging stores,
-  and every link whose retransmission buffer holds an entry a NACK
-  re-armed is in ``Network.retrying``, the set the watchdog walks.
+  every link whose retransmission buffer holds an entry a NACK
+  re-armed is in ``Network.retrying``, the set the watchdog walks, and
+  no injection backlog or receiver skip set is kept once empty.
 
 The flit sweep, and the ``credit``, ``buffer`` and ``counters`` checks
 with it, support two scopes.  ``"full"`` walks every router and link.
@@ -326,8 +327,15 @@ class NetworkValidator:
         flit sweep.  An active-scoped audit may skip settled routers:
         tallies that missed a buffered flit would let its router
         settle, stranding the flit outside the active sets, where the
-        flit sweep's conservation count misses it and fails."""
+        flit sweep's conservation count misses it and fails.  State
+        kept only while in use (injection backlogs, receiver skip sets)
+        must not outlive its use."""
         net = self.net
+        for core, backlog in net._backlogs.items():
+            if not backlog:
+                self._fail(
+                    "counters", f"core {core}: an empty backlog is kept"
+                )
         routers, link_keys = self._flit_sweep_scope()
         for router in routers:
             work = router.work
@@ -396,13 +404,19 @@ class NetworkValidator:
                     f"!= {staged} staged",
                 )
             for vc, store in receiver._staging.items():
-                if (store or receiver._skipped[vc]) and not (
+                if (store or vc in receiver._skipped) and not (
                     receiver._live >> vc & 1
                 ):
                     self._fail(
                         "counters",
                         f"link {key} vc {vc}: staged or skipped sequence "
                         f"numbers on a VC the resequencer does not visit",
+                    )
+            for vc, skipped in receiver._skipped.items():
+                if not skipped:
+                    self._fail(
+                        "counters",
+                        f"link {key} vc {vc}: an empty skip set is kept",
                     )
 
 

@@ -79,7 +79,10 @@ class Network:
         self.e2e = e2e
         self.routing_table = routing_table
         self.route_fn = make_route_fn(cfg, routing_table)
-        receiver_factory = receiver_factory or EccReceiver
+        #: what built each link's two ends, kept so a recovery epoch
+        #: rebuilds them alike (a checkpoint pickles them with the rest)
+        self.receiver_factory = receiver_factory or EccReceiver
+        self.lob_factory = lob_factory
 
         self.stats = NetworkStats()
         self.routers = [
@@ -101,7 +104,7 @@ class Network:
             self.links[key] = link
             out_port = self.routers[src].add_link_output(key[1], link)
             in_port = self.routers[dst].add_link_input(OPPOSITE[key[1]])
-            in_port.receiver = receiver_factory(cfg, link)
+            in_port.receiver = self.receiver_factory(cfg, link)
             in_port.receiver.upstream_credits = out_port.credits
             in_port.receiver.stats_sink = self.stats
             in_port.upstream_credits = out_port.credits
@@ -131,12 +134,11 @@ class Network:
         #: links it dropped on, removes a link once its buffer is empty
         self.retrying: set[LinkKey] = set()
 
-        self._backlogs: list[deque[Flit]] = [
-            deque() for _ in range(cfg.num_cores)
-        ]
-        #: cores with a non-empty backlog (kept exact by add_packet and
-        #: _inject), so injection and idleness checks cost O(pending)
-        self._backlogged: set[int] = set()
+        #: the flits each core has waiting to inject, keyed by core and
+        #: held only while the core has any (kept exact by add_packet
+        #: and _inject), so injection and idleness checks cost
+        #: O(pending); a deque, because a backlog is unbounded
+        self._backlogs: dict[int, deque[Flit]] = {}
         self.cycle = 0
         self.traffic: Optional[TrafficSource] = None
         #: back-pressure sampling cadence in cycles (0 disables
@@ -214,7 +216,7 @@ class Network:
             self._full_sweep
             or self._active_routers
             or self._active_links
-            or self._backlogged
+            or self._backlogs
         )
 
     def next_event_cycle(self) -> Optional[int]:
@@ -229,7 +231,7 @@ class Network:
         triggers it.
         """
         cycle = self.cycle
-        if self._full_sweep or self._backlogged:
+        if self._full_sweep or self._backlogs:
             return cycle
         best: Optional[int] = None
         for rid in self._active_routers:
@@ -334,9 +336,9 @@ class Network:
                     if doomed:
                         # the one place a buffer is rewritten rather than
                         # pushed or popped: keep the tallies in step
-                        vc.buffer = deque(
+                        vc.buffer = [
                             f for f in vc.buffer if f.pkt_id != pkt_id
-                        )
+                        ]
                         work.flits -= len(doomed)
                         work.ports[vc.position] -= len(doomed)
                         for flit in doomed:
@@ -400,8 +402,11 @@ class Network:
             created_cycle=packet.created_cycle,
         )
         self.stats.on_packet_created(record)
-        self._backlogs[packet.src_core].extend(flits)
-        self._backlogged.add(packet.src_core)
+        backlog = self._backlogs.get(packet.src_core)
+        if backlog is None:
+            self._backlogs[packet.src_core] = deque(flits)
+        else:
+            backlog.extend(flits)
 
     # -- cycle loop -------------------------------------------------------------
     def step(self) -> None:
@@ -580,15 +585,16 @@ class Network:
             prof.lap("active", _t)
 
     def _inject(self, cycle: int) -> None:
-        if not self._backlogged:
+        backlogs = self._backlogs
+        if not backlogs:
             return
         cfg = self.cfg
         policy = self.policy
         gated = "may_inject" in policy.gated
         # sorted() both fixes the visitation order (ascending core, the
-        # full-scan order) and snapshots the set before mutation
-        for core in sorted(self._backlogged):
-            backlog = self._backlogs[core]
+        # full-scan order) and snapshots the keys before mutation
+        for core in sorted(backlogs):
+            backlog = backlogs[core]
             flit = backlog[0]
             if gated and not policy.may_inject(flit, cycle):
                 continue
@@ -599,7 +605,7 @@ class Network:
                 continue
             backlog.popleft()
             if not backlog:
-                self._backlogged.discard(core)
+                del backlogs[core]
             flit.injected_cycle = cycle
             flit.last_move_cycle = cycle
             vc.push(flit)
@@ -611,9 +617,9 @@ class Network:
     # -- measurement --------------------------------------------------------
     def core_blocked(self, core: int) -> bool:
         """The core cannot inject: pending traffic faces a full VC."""
-        backlog = self._backlogs[core]
-        if not backlog:
+        if core not in self._backlogs:
             return False
+        backlog = self._backlogs[core]
         cfg = self.cfg
         router = self.routers[cfg.router_of_core(core)]
         port = router.inputs[("inj", cfg.local_index(core))]
@@ -632,7 +638,7 @@ class Network:
             blocked += router.any_output_blocked(cycle)
         # only a core with a backlog can be blocked
         blocked_cores: dict[int, int] = {}
-        for core in self._backlogged:
+        for core in self._backlogs:
             if self.core_blocked(core):
                 rid = cfg.router_of_core(core)
                 blocked_cores[rid] = blocked_cores.get(rid, 0) + 1
@@ -662,7 +668,7 @@ class Network:
     @property
     def drained(self) -> bool:
         """No traffic anywhere in the NoC."""
-        if any(self._backlogs):
+        if self._backlogs:
             return False
         if self.traffic is not None and not self.traffic.done(self.cycle):
             return False

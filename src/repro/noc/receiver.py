@@ -20,7 +20,6 @@ scrambled flit (2+4).
 from __future__ import annotations
 
 import functools
-from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.ecc import SECDED_72_64, DecodeResult, DecodeStatus, Secded
@@ -32,6 +31,10 @@ from repro.util.bits import mask
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.config import NoCConfig
     from repro.noc.flit import Flit
+
+
+#: the skip set of a VC that has none
+_NO_SKIPS: frozenset[int] = frozenset()
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,18 +95,18 @@ class EccReceiver:
         self.staged_count = 0
         #: next vc_seq expected to be delivered, per VC
         self._expected_seq = [0] * cfg.num_vcs
-        #: vc_seq numbers dropped upstream before acceptance; the
-        #: resequencer steps over them instead of waiting forever
-        self._skipped: dict[int, set[int]] = {
-            vc: set() for vc in range(cfg.num_vcs)
-        }
+        #: vc_seq numbers dropped upstream before acceptance, per VC;
+        #: the resequencer steps over them instead of waiting forever.
+        #: A VC has a set only while it holds a number: skips are rare,
+        #: and an empty set per VC would cost memory on every link
+        self._skipped: dict[int, set[int]] = {}
         #: bitmask of the VCs whose staging store or skip set may hold
         #: something, so :meth:`take_deliveries` visits only those
         self._live = 0
-        #: pkt_ids condemned by the degradation path; their remaining
-        #: flits are accepted-and-discarded so the wormhole drains
-        self.poisoned_packets: set[int] = set()
-        self._poison_order: "deque[int]" = deque()
+        #: pkt_ids condemned by the degradation path, oldest first (the
+        #: values are unused); their remaining flits are
+        #: accepted-and-discarded so the wormhole drains
+        self.poisoned_packets: dict[int, None] = {}
         #: wired by Network: upstream CreditTracker, for returning the
         #: slot of a discarded flit
         self.upstream_credits = None
@@ -128,7 +131,10 @@ class EccReceiver:
         # or skipped (its bit in ``_live`` clear) and skips both lookups
         if self._live >> tx.vc & 1 and (
             tx.vc_seq in self._staging[tx.vc]
-            or tx.vc_seq in self._skipped[tx.vc]
+            or (
+                tx.vc in self._skipped
+                and tx.vc_seq in self._skipped[tx.vc]
+            )
         ):
             # Duplicate of a flit already accepted (a stale
             # retransmission), or a sequence the upstream degradation
@@ -245,19 +251,23 @@ class EccReceiver:
         """Mark a sequence number the upstream end dropped before this
         receiver ever accepted it; the resequencer will step over it."""
         if vc_seq >= self._expected_seq[vc] and vc_seq not in self._staging[vc]:
-            self._skipped[vc].add(vc_seq)
+            if vc in self._skipped:
+                self._skipped[vc].add(vc_seq)
+            else:
+                self._skipped[vc] = {vc_seq}
             self._live |= 1 << vc
 
     def poison_packet(self, pkt_id: int, capacity: int = 256) -> None:
         """Condemn a packet: its future arrivals on this link are
         accepted-and-discarded (the end-to-end resubmission owns
-        delivery from here on)."""
-        if pkt_id in self.poisoned_packets:
+        delivery from here on).  Beyond ``capacity`` condemned ids the
+        oldest is forgotten."""
+        poisoned = self.poisoned_packets
+        if pkt_id in poisoned:
             return
-        self.poisoned_packets.add(pkt_id)
-        self._poison_order.append(pkt_id)
-        while len(self._poison_order) > capacity:
-            self.poisoned_packets.discard(self._poison_order.popleft())
+        poisoned[pkt_id] = None
+        while len(poisoned) > capacity:
+            del poisoned[next(iter(poisoned))]
 
     def reset_sequencing(self) -> None:
         """Start a fresh link epoch after reinstatement.
@@ -283,11 +293,9 @@ class EccReceiver:
                 "cannot reset sequencing with staged flits pending"
             )
         self._expected_seq = [0] * self.cfg.num_vcs
-        for skipped in self._skipped.values():
-            skipped.clear()
+        self._skipped.clear()
         self._live = 0
         self.poisoned_packets.clear()
-        self._poison_order.clear()
 
     def discard_staged(self, pkt_id: int, cycle: int) -> int:
         """Turn already-staged (undelivered) flits of a condemned packet
@@ -319,18 +327,21 @@ class EccReceiver:
         cycle, strictly in per-VC ``vc_seq`` order."""
         out: list[tuple[int, "Flit"]] = []
         expected_seq = self._expected_seq
+        skips = self._skipped
         live = pending = self._live
         while pending:
             bit = pending & -pending
             pending ^= bit
             vc = bit.bit_length() - 1
             store = self._staging[vc]
-            skipped = self._skipped[vc]
+            skipped = skips[vc] if vc in skips else _NO_SKIPS
             while True:
                 expected = expected_seq[vc]
                 if expected in skipped:
                     skipped.discard(expected)
                     expected_seq[vc] = expected + 1
+                    if not skipped:
+                        del skips[vc]
                     continue
                 if expected not in store:
                     break

@@ -19,7 +19,6 @@ outcomes depend on which VCs request, never on the visiting order.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Union, TYPE_CHECKING
 
 from repro.noc.arbiters import RoundRobinArbiter
@@ -130,7 +129,10 @@ class VCState:
     def __init__(self, capacity: int, position: int, idx: int, flat: int,
                  work: Worklists):
         self.capacity = capacity
-        self.buffer: deque[Flit] = deque()
+        #: at most ``capacity`` flits, oldest first: a bounded FIFO this
+        #: short is a list, whose head pop moves at most a few pointers
+        #: (a deque allocates a 64-slot block per VC)
+        self.buffer: list[Flit] = []
         self.route_out: Optional[PortKey] = None
         #: the OutputPort or EjectPort behind ``route_out``, resolved at RC
         self.out: Union["OutputPort", "EjectPort", None] = None
@@ -169,7 +171,7 @@ class VCState:
             self.requeue()
 
     def pop(self) -> Flit:
-        flit = self.buffer.popleft()
+        flit = self.buffer.pop(0)
         work = self._work
         work.flits -= 1
         work.ports[self.position] -= 1
@@ -316,7 +318,9 @@ class EjectPort:
 
     def __init__(self, core: int, capacity: int):
         self.core = core
-        self.queue: deque[Flit] = deque()
+        #: at most ``capacity`` flits, oldest first (a list, like a VC
+        #: buffer)
+        self.queue: list[Flit] = []
         self.capacity = capacity
 
 
@@ -660,7 +664,7 @@ class Router:
         delivered = []
         for port in self.ejects.values():
             if port.queue:
-                flit = port.queue.popleft()
+                flit = port.queue.pop(0)
                 flit.ejected_cycle = cycle
                 delivered.append(flit)
         self.flits_ejected += len(delivered)

@@ -13,11 +13,13 @@ calls :func:`write_bench_file` at session end.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import subprocess
+import tracemalloc
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 #: bump on incompatible BENCH_*.json layout changes
 BENCH_FORMAT = 1
@@ -46,6 +48,25 @@ def percentile(samples: list[float], fraction: float) -> Optional[float]:
     ordered = sorted(samples)
     rank = math.ceil(fraction * len(ordered))
     return ordered[max(0, min(len(ordered), rank) - 1)]
+
+
+def traced_build(build: Callable[[], object]) -> tuple[object, int]:
+    """What ``build()`` returns, and the bytes of Python allocation it
+    keeps as :mod:`tracemalloc` traces them.
+
+    ``build`` runs twice: the first, untraced call warms every import
+    and module-level cache, so the traced one counts only what the
+    built object holds.
+    """
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return built, held
 
 
 def bench_record(

@@ -1,11 +1,18 @@
 """Tests for epoch-based recovery (freeze / drain / reroute / resubmit)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import TargetSpec, TaspTrojan
+from repro.core.mitigation import DetectingReceiver, build_mitigated_network
 from repro.core.recovery import RecoveryManager
+from repro.experiments.chaos import campaigns
 from repro.noc import Network, NoCConfig, Packet, PAPER_CONFIG
 from repro.noc.topology import Direction
+from repro.obs.profiler import PhaseProfiler
+from repro.resilience.campaign import ChaosCampaign
 
 INFECTED = (0, Direction.EAST)
 
@@ -133,3 +140,46 @@ class TestRecoverySequence:
         assert manager.run_epoch(6000)
         assert manager.delivered == 10
         assert len(manager.reports) == 2
+
+
+def assert_mitigated(net):
+    for key in net.links:
+        assert isinstance(net.receiver_of(key), DetectingReceiver), key
+        assert net.output_port_of(key).lob is not None, key
+
+
+class TestEpochHardware:
+    """A new epoch is the old network's hardware on new routes."""
+
+    def test_a_mitigated_network_recovers_mitigated(self):
+        net = build_mitigated_network(PAPER_CONFIG)
+        net.sample_interval = 7
+        net.profiler = PhaseProfiler()
+        fresh = RecoveryManager(net, []).recover([INFECTED])
+        assert_mitigated(fresh)
+        assert fresh.sample_interval == 7
+        assert fresh.profiler is net.profiler
+        # checkpoints pickle networks, and with them what rebuilds them
+        assert_mitigated(pickle.loads(pickle.dumps(fresh)))
+
+    def test_a_mitigated_campaign_keeps_its_defense_after_recovery(
+        self, monkeypatch
+    ):
+        epochs = []
+        recover = RecoveryManager.recover
+
+        def kept(manager, *args, **kwargs):
+            epochs.append(recover(manager, *args, **kwargs))
+            return epochs[-1]
+
+        monkeypatch.setattr(RecoveryManager, "recover", kept)
+        ladder = campaigns()[0]
+        assert ladder.scenario.defense.mitigated
+        report = ChaosCampaign(dataclasses.replace(
+            ladder,
+            scenario=dataclasses.replace(ladder.scenario, sample_interval=7),
+        )).run()
+        assert report.epochs == len(epochs) + 1 >= 2
+        for net in epochs:
+            assert_mitigated(net)
+            assert net.sample_interval == 7

@@ -63,7 +63,8 @@ def next_event_by_walk(router, cycle):
 
 
 def drained_by_walk(net):
-    if any(net._backlogs):
+    # a core's backlog is a key only while it holds flits
+    if net._backlogs:
         return False
     if net.traffic is not None and not net.traffic.done(net.cycle):
         return False

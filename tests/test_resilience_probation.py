@@ -215,12 +215,13 @@ class TestProbationLifecycle:
         net, wd, co = _attach()
         self.seal(net, wd, co)
         receiver = net.receiver_of(LINK)
+        receiver.skip_seq(0, 5)
         receiver._expected_seq[0] = 17       # sealed-era divergence
-        receiver._skipped[0].add(5)
         receiver.poison_packet(123)
+        assert receiver._skipped == {0: {5}}
         _advance(net, co, 100, 200)
         assert receiver._expected_seq == [0] * CFG.num_vcs
-        assert not any(receiver._skipped.values())
+        assert not receiver._skipped
         assert not receiver.poisoned_packets
 
     def test_infected_probe_resets_the_streak(self):
