@@ -5,7 +5,7 @@ Two stepping optimizations are measured against their oracles:
 * active-set stepping vs ``full_sweep=True`` — skipping *settled
   routers* within a cycle;
 * the event engine vs the sweep engine — skipping *provably idle
-  cycles* outright via the wakeup scheduler (``repro.sim.sched``).
+  cycles* outright via the event core (``repro.sim.sched``).
 
 Each bench runs the identical scenario both ways, asserts the stats
 are bit-identical, and records the speedup.  The event-engine benches

@@ -35,11 +35,6 @@ from repro.core.mitigation import (
     build_mitigated_network,
 )
 from repro.core.recovery import RecoveryManager, RecoveryReport
-from repro.core.telemetry import (
-    LinkSecurityStatus,
-    SecurityReport,
-    security_report,
-)
 from repro.core.targets import TargetSpec
 from repro.core.tasp import TaspConfig, TaspState, TaspTrojan
 
@@ -66,9 +61,6 @@ __all__ = [
     "DetectingReceiver",
     "MitigationConfig",
     "build_mitigated_network",
-    "LinkSecurityStatus",
-    "SecurityReport",
-    "security_report",
     "RecoveryManager",
     "RecoveryReport",
     "TargetSpec",

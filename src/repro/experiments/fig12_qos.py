@@ -106,6 +106,19 @@ def _two_apps(
     )
 
 
+class _CompletionsByDomain:
+    """Ejection hook counting completed packets per domain: a class,
+    not a closure, so the simulation stays snapshot-safe (failure
+    forensics snapshots it)."""
+
+    def __init__(self) -> None:
+        self.done = [0, 0]
+
+    def __call__(self, flit, cycle, core) -> None:
+        if flit.is_tail:
+            self.done[flit.domain % 2] += 1
+
+
 def _run_one(
     sim: Simulation,
     warmup: int,
@@ -114,16 +127,9 @@ def _run_one(
     label: str,
 ) -> Fig12Series:
     net = sim.network
-    done_by_domain = [0, 0]
-    net.ejection_hooks.append(
-        lambda flit, cycle, core: (
-            done_by_domain.__setitem__(
-                flit.domain % 2, done_by_domain[flit.domain % 2] + 1
-            )
-            if flit.is_tail
-            else None
-        )
-    )
+    completions = _CompletionsByDomain()
+    net.ejection_hooks.append(completions)
+    done_by_domain = completions.done
     samples: list[DomainSample] = []
     sim.advance_to(warmup)  # scheduled trojan enables fire at the boundary
     for _ in range(window // sample_every):

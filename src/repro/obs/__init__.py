@@ -15,8 +15,8 @@ events and scrapes their counts.
 * :mod:`repro.obs.series` — cycle-windowed back-pressure maxima for
   Fig. 11/12-style heatmaps and detector research;
 * :mod:`repro.obs.collectors` — scrapers that copy the components'
-  own counters into registry series at finalize (the single source of
-  truth behind :func:`repro.core.telemetry.security_report`);
+  own counters into registry series at finalize (the security posture
+  of a mitigated network included);
 * :mod:`repro.obs.instrument` — the wiring: attach an
   :class:`~repro.obs.instrument.Observability` to a simulation and
   every hook point (inject/eject/launch/ack/monitor) publishes its

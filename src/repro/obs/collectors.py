@@ -5,14 +5,13 @@ evaluation needs — ECC receivers, threat detectors, L-Ob encoders,
 links, the watchdog ladder, :class:`~repro.noc.stats.NetworkStats`.
 Those counters are the one statistics core: the collectors here copy
 them into labelled registry series with one naming scheme, so
-exporters, the runner's ``metrics`` section and
-:func:`repro.core.telemetry.security_report` all read the same numbers
+exporters and the runner's ``metrics`` section read the same numbers
 from the same place.
 
 Link labels use the same ``"<router>-><DIRECTION>"`` spelling as
 :mod:`repro.experiments.export` flattens link-key dict keys to, and
-:func:`parse_link_label` inverts it — so a report reconstructed from a
-metrics snapshot round-trips the original keys.
+:func:`parse_link_label` inverts it — so a reader of a metrics
+snapshot recovers the original keys.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def _run_labels(run: Optional[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# security posture: the single source of truth behind security_report()
+# security posture: detector verdicts, L-Ob sends, link traversals
 # ---------------------------------------------------------------------------
 def collect_security(
     network: "Network",
@@ -50,9 +49,7 @@ def collect_security(
     """Scrape detector / L-Ob / link state of a mitigated network.
 
     Raises ``ValueError`` when the network has no threat detectors
-    (built without :func:`repro.core.build_mitigated_network`) — the
-    same contract :func:`repro.core.telemetry.security_report` has
-    always had, because that adapter now reads these series.
+    (built without :func:`repro.core.build_mitigated_network`).
     """
     from repro.core.mitigation import DetectingReceiver
 

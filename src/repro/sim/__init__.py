@@ -40,7 +40,7 @@ from repro.sim.engine import (
     resume_or_build,
     run,
 )
-from repro.sim.sched import EventCore, WakeupWheel
+from repro.sim.sched import EventCore
 from repro.sim.cache import ResultCache, code_version, spec_hash
 from repro.sim.checkpoint import (
     Checkpoint,
@@ -69,7 +69,6 @@ from repro.sim.shrink import (
 __all__ = [
     "ENGINE_ENV",
     "EventCore",
-    "WakeupWheel",
     "Checkpoint",
     "CheckpointError",
     "Forensics",

@@ -53,9 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: bump on incompatible checkpoint layout changes; old files are then
 #: treated as absent rather than misparsed.  Format 2: simulations
-#: carry the engine mode and (in event mode) the wakeup-scheduler
-#: wheel (repro.sim.sched), and networks track the backlogged-core set.
-CHECKPOINT_FORMAT = 2
+#: carry the engine mode and (in event mode) the event core
+#: (repro.sim.sched), and networks track the backlogged-core set.
+#: Format 3: the event core holds only its skip counters (no wakeup
+#: wheel) and scenario edges carry no wake token.
+CHECKPOINT_FORMAT = 3
 
 CHECKPOINT_SUFFIX = ".ckpt"
 

@@ -12,6 +12,7 @@ JSON-friendly :class:`RunResult`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,6 +196,22 @@ def _make_source(cfg, spec) -> TrafficSource:
     raise TypeError(f"unknown traffic spec {type(spec).__name__}")
 
 
+def _recording_failures(method):
+    """Wrap a :class:`Simulation` stepping method so a failure
+    escaping it is recorded (:meth:`Simulation._record_failure`)
+    before it propagates."""
+
+    @functools.wraps(method)
+    def stepping(sim, *args, **kwargs):
+        try:
+            return method(sim, *args, **kwargs)
+        except Exception as exc:
+            sim._record_failure(exc)
+            raise
+
+    return stepping
+
+
 @dataclass(frozen=True)
 class RunResult:
     """JSON-friendly summary of one scenario run."""
@@ -284,20 +301,21 @@ class Simulation:
 
         self.network = net
 
-        # Every scheduled edge in one list of (cycle, order, wake token,
-        # action, args), latest first so the due ones pop off the end.
-        # A fault joins its link's tamper chain at its onset, so faults
+        # Every scheduled edge in one list of (cycle, order, action,
+        # args), latest first so the due ones pop off the end (the
+        # event engine reads its next wake from the same list).  A
+        # fault joins its link's tamper chain at its onset, so faults
         # on one link stack in onset order.
         edges: list = []
 
-        def schedule(cycle: Optional[int], token: str, action, *args):
+        def schedule(cycle: Optional[int], action, *args):
             if cycle is not None:
-                edges.append((cycle, len(edges), token, action, args))
+                edges.append((cycle, len(edges), action, args))
 
         self.trojans = attach_trojan_specs(net, scenario.trojans)
         for spec, trojan in zip(scenario.trojans, self.trojans):
-            schedule(spec.enable_at, "trojan-enable", trojan.enable)
-            schedule(spec.disable_at, "trojan-disable", trojan.disable)
+            schedule(spec.enable_at, trojan.enable)
+            schedule(spec.disable_at, trojan.disable)
 
         self.attacks: list[GrayholeAttack] = []
         for spec in scenario.attacks:
@@ -311,8 +329,8 @@ class Simulation:
             )
             net.attach_tamperer(spec.link, attack)
             self.attacks.append(attack)
-            schedule(spec.enable_at, "attack-arm", attack.arm)
-            schedule(spec.disable_at, "attack-disarm", attack.disarm)
+            schedule(spec.enable_at, attack.arm)
+            schedule(spec.disable_at, attack.disarm)
 
         self.faults: list = []
         width = net.codec.codeword_bits
@@ -325,10 +343,8 @@ class Simulation:
             )
             if spec.enable_at is None:
                 net.attach_tamperer(spec.link, model)
-            schedule(spec.enable_at, "fault-attach", self._attach,
-                     spec.link, model)
-            schedule(spec.disable_at, "fault-detach", self._detach,
-                     spec.link, model)
+            schedule(spec.enable_at, self._attach, spec.link, model)
+            schedule(spec.disable_at, self._detach, spec.link, model)
             self.faults.append(model)
         for spec in scenario.wire_faults:
             if isinstance(spec, LinkKillSpec):
@@ -337,7 +353,7 @@ class Simulation:
                 model = PermanentFault(
                     width, {pos: spec.value for pos in spec.positions}
                 )
-            schedule(spec.at, "fault-attach", self._attach, spec.link, model)
+            schedule(spec.at, self._attach, spec.link, model)
             self.faults.append(model)
         self._edges = sorted(edges, reverse=True)
 
@@ -403,7 +419,8 @@ class Simulation:
             self.sentinel = Sentinel(scenario.sentinel)
             net.monitors.append(self.sentinel)
 
-        #: failure-forensics recorder (None until enable_forensics)
+        #: failure-forensics recorder (None until enable_forensics, or
+        #: REPRO_FORENSICS_DIR at the end of this constructor, arms it)
         self.forensics: "Optional[Forensics]" = None
 
         net.sample_interval = scenario.sample_interval
@@ -418,13 +435,13 @@ class Simulation:
         self.resumed_from_cycle: Optional[int] = None
 
         # -- engine mode --------------------------------------------------
-        #: "sweep" (per-cycle oracle) or "event" (wakeup scheduler);
+        #: "sweep" (per-cycle oracle) or "event" (skips idle cycles);
         #: both produce byte-identical reports — see docs/performance.md
         self.engine: str = _resolve_engine(
             engine, scenario.engine, full_sweep
         )
         #: event-driven advance core (None in sweep mode); checkpoints
-        #: carry it, wheel state included
+        #: carry it, skip counters included
         self.event_core: Optional[EventCore] = (
             EventCore(self) if self.engine == "event" else None
         )
@@ -442,6 +459,7 @@ class Simulation:
         prof = obs_profiler.current()
         if prof is not None:
             net.profiler = prof
+        self._arm_from_environment()
 
     # -- checkpoint/restore ----------------------------------------------
     def snapshot(self) -> "Checkpoint":
@@ -468,6 +486,7 @@ class Simulation:
         )
         sim = checkpoint.restore()
         sim.resumed_from_cycle = checkpoint.cycle
+        sim._arm_from_environment()
         return sim
 
     def configure_checkpoints(
@@ -520,36 +539,49 @@ class Simulation:
         edges = self._edges
         cycle = self.network.cycle
         while edges and edges[-1][0] <= cycle:
-            _, _, _, action, args = edges.pop()
+            _, _, action, args = edges.pop()
             action(*args)
 
     def step(self) -> None:
-        self._fire_edges()
-        self.network.step()
-        if self._ckpt_next is not None:
-            self._maybe_checkpoint()
-        if self.forensics is not None:
-            # after network.step(): a failing cycle raises before this
-            # line, so the forensics snapshot is always last-*good*
-            self.forensics.maybe_snapshot()
+        # the try is inline, not _recording_failures: it costs nothing
+        # until it catches, and step runs once per landed cycle
+        try:
+            self._fire_edges()
+            self.network.step()
+            if self._ckpt_next is not None:
+                self._maybe_checkpoint()
+            if self.forensics is not None:
+                # after network.step(): a failing cycle raises before
+                # this line, so the forensics snapshot is last-*good*
+                self.forensics.maybe_snapshot()
+        except Exception as exc:
+            self._record_failure(exc)
+            raise
 
+    @_recording_failures
     def advance_to(self, cycle: int) -> None:
         """Step until the network clock reaches ``cycle``, firing any
         scheduled edges on the way.  In event mode, cycles no
         component claims are skipped without stepping (byte-identical
         results — see :mod:`repro.sim.sched`)."""
         if self.event_core is not None:
-            self.event_core.advance_to(cycle)
+            self.event_core.advance(cycle)
+            self._fire_edges()
             return
         while self.network.cycle < cycle:
             self.step()
         self._fire_edges()
 
+    @_recording_failures
     def run_until_drained(
         self, max_cycles: int, stall_limit: Optional[int] = None
     ) -> bool:
         if self.event_core is not None:
-            return self.event_core.run_until_drained(max_cycles, stall_limit)
+            return self.event_core.advance(
+                self.network.cycle + max_cycles,
+                drain=True,
+                stall_limit=stall_limit,
+            )
         net = self.network
         for _ in range(max_cycles):
             if net.drained:
@@ -563,6 +595,15 @@ class Simulation:
         return net.drained
 
     # -- forensics -------------------------------------------------------
+    def _arm_from_environment(self) -> None:
+        """Arm failure forensics when ``REPRO_FORENSICS_DIR`` is set, as
+        ``REPRO_PROFILE`` arms the profiler: forked runner workers
+        inherit the variable, so every simulation an experiment builds
+        or restores is covered."""
+        directory = os.environ.get("REPRO_FORENSICS_DIR")
+        if directory:
+            self.enable_forensics(directory)
+
     def enable_forensics(
         self,
         directory: "str | Path",
@@ -575,9 +616,12 @@ class Simulation:
         Keeps an in-memory last-good checkpoint (refreshed every
         ``snapshot_every`` cycles) and a ring buffer of the last
         ``trace_capacity`` flit events; any exception escaping
-        :meth:`run` is then captured as a ``*.repro`` bundle under
+        :meth:`run`, :meth:`advance_to`, :meth:`run_until_drained` or
+        :meth:`step` is then captured as a ``*.repro`` bundle under
         ``directory`` (see :mod:`repro.sim.forensics`) and carries the
-        bundle path as ``exc.repro_bundle``.
+        bundle path as ``exc.repro_bundle``.  Arming an armed
+        simulation replaces its recorder but keeps the tracer already
+        attached (and its capacity).
         """
         from repro.sim.forensics import Forensics
 
@@ -606,20 +650,27 @@ class Simulation:
             obs.export_sink = None
         return sim
 
-    # -- one-shot --------------------------------------------------------
-    def run(self) -> RunResult:
-        try:
-            return self._run()
-        except Exception as exc:
-            if self.obs is not None:
-                # record the trip and take the final scrape first, so a
-                # forensics bundle can embed the finalized metrics
-                self.obs.on_failure(self, exc)
-            if self.forensics is not None:
+    def _record_failure(self, exc: Exception) -> None:
+        """Record a failure escaping a stepping call, once: the
+        enclosing calls it unwinds through next find it recorded."""
+        if getattr(exc, "repro_recorded", False):
+            return
+        exc.repro_recorded = True
+        if self.obs is not None:
+            # record the trip and take the final scrape first, so a
+            # forensics bundle can embed the finalized metrics
+            self.obs.on_failure(self, exc)
+        if self.forensics is not None:
+            try:
                 exc.repro_bundle = self.forensics.write_bundle(exc)
-            raise
+            except Exception as error:
+                # a recorder that cannot write is not asked again
+                error.repro_recorded = True
+                raise
 
-    def _run(self) -> RunResult:
+    # -- one-shot --------------------------------------------------------
+    @_recording_failures
+    def run(self) -> RunResult:
         scenario = self.scenario
         if scenario.duration is not None:
             self.advance_to(scenario.duration)
@@ -709,10 +760,11 @@ def run(
     checkpoint (if any) instead of cycle 0.  Either way the
     :class:`RunResult` is bit-identical to an uninterrupted run.
 
-    ``forensics_dir`` (or the ``REPRO_FORENSICS_DIR`` environment
-    variable, which forked runner workers inherit) arms failure
-    forensics: any exception escaping the run leaves a ``*.repro``
-    bundle there and carries its path as ``exc.repro_bundle``.
+    ``forensics_dir`` arms failure forensics (over the
+    ``REPRO_FORENSICS_DIR`` environment variable, which arms every
+    :class:`Simulation`): any exception escaping the run leaves a
+    ``*.repro`` bundle there and carries its path as
+    ``exc.repro_bundle``.
 
     ``obs`` attaches observability (see :class:`Simulation`); passing
     an :class:`~repro.obs.instrument.ObsConfig` additionally writes
@@ -732,8 +784,6 @@ def run(
         )
     if checkpoint_interval is not None and checkpoint_dir is not None:
         sim.configure_checkpoints(checkpoint_dir, checkpoint_interval)
-    if forensics_dir is None:
-        forensics_dir = os.environ.get("REPRO_FORENSICS_DIR") or None
     if forensics_dir is not None:
         sim.enable_forensics(forensics_dir)
     result = sim.run()

@@ -3,10 +3,11 @@
 When a simulation dies — a :class:`~repro.sim.sentinel.SentinelTrip`,
 an :class:`~repro.noc.invariants.InvariantViolation` from anywhere, or
 any other exception escaping :meth:`Simulation.run()
-<repro.sim.engine.Simulation.run>` — the only thing worse than the
+<repro.sim.engine.Simulation.run>`, ``advance_to()``,
+``run_until_drained()`` or ``step()`` — the only thing worse than the
 failure is not being able to reproduce it.  A :class:`Forensics`
-recorder attached via :meth:`Simulation.enable_forensics` keeps, at all
-times:
+recorder attached via :meth:`Simulation.enable_forensics` (or by the
+``REPRO_FORENSICS_DIR`` environment variable) keeps, at all times:
 
 * an in-memory **last-good checkpoint** (refreshed every
   ``snapshot_every`` cycles, reusing :mod:`repro.sim.checkpoint`), and
@@ -110,8 +111,14 @@ class Forensics:
         self.sim = sim
         self.directory = Path(directory)
         self.snapshot_every = snapshot_every
-        self.tracer = FlitTracer.attach(
-            sim.network, capacity=trace_capacity, ring=True
+        previous = sim.forensics
+        # re-arming keeps the attached tracer: one trace window per run
+        self.tracer = (
+            previous.tracer
+            if previous is not None
+            else FlitTracer.attach(
+                sim.network, capacity=trace_capacity, ring=True
+            )
         )
         # attached before the first capture, so the checkpoint carries
         # the tracer's hooks and replays keep tracing

@@ -1,4 +1,9 @@
-"""Tests for chip-level security telemetry."""
+"""Chip-level security posture, read from the security collector.
+
+``collect_security`` scrapes every per-link threat detector and L-Ob
+encoder of a mitigated network into one registry snapshot; these tests
+read verdicts and send totals back out of it.
+"""
 
 import pytest
 
@@ -8,10 +13,10 @@ from repro.core import (
     TaspTrojan,
     build_mitigated_network,
 )
-from repro.core.telemetry import security_report
 from repro.faults import PermanentFault, StuckAtKind
-from repro.noc import Network, NoCConfig, Packet, PAPER_CONFIG
+from repro.noc import Network, Packet, PAPER_CONFIG
 from repro.noc.topology import Direction
+from repro.obs.collectors import collect_security, parse_link_label
 
 
 def attack_and_run(net, count=15):
@@ -23,14 +28,44 @@ def attack_and_run(net, count=15):
     net.run_until_drained(8000, stall_limit=2000)
 
 
+def series(snapshot, name):
+    return snapshot.get(name, {}).get("series", [])
+
+
+def per_link(snapshot, name):
+    return {
+        parse_link_label(child["labels"]["link"]): child["value"]
+        for child in series(snapshot, name)
+    }
+
+
+def verdicts(snapshot):
+    return {
+        parse_link_label(child["labels"]["link"]): LinkVerdict(
+            child["labels"]["verdict"]
+        )
+        for child in series(snapshot, "detector_verdict")
+    }
+
+
+def links_judged(snapshot, *judged):
+    return sorted(
+        key for key, verdict in verdicts(snapshot).items()
+        if verdict in judged
+    )
+
+
+def suspects(snapshot):
+    return links_judged(snapshot, LinkVerdict.TROJAN, LinkVerdict.PERMANENT)
+
+
 class TestSecurityReport:
     def test_clean_network_reports_no_suspects(self):
         net = build_mitigated_network(PAPER_CONFIG)
         attack_and_run(net)
-        report = security_report(net)
-        assert len(report.links) == 48
-        assert report.suspicious_links == []
-        assert "no condemned links" in report.summary()
+        snapshot = collect_security(net).snapshot()
+        assert len(verdicts(snapshot)) == 48
+        assert suspects(snapshot) == []
 
     def test_trojan_link_identified(self):
         net = build_mitigated_network(PAPER_CONFIG)
@@ -38,13 +73,14 @@ class TestSecurityReport:
         trojan.enable()
         net.attach_tamperer((0, Direction.EAST), trojan)
         attack_and_run(net)
-        report = security_report(net)
-        assert report.trojan_links == [(0, Direction.EAST)]
-        assert report.permanent_links == []
-        status = report.links[(0, Direction.EAST)]
-        assert status.verdict is LinkVerdict.TROJAN
-        assert status.corrupted_traversals > 0
-        assert report.total_faults > 0
+        snapshot = collect_security(net).snapshot()
+        assert links_judged(snapshot, LinkVerdict.TROJAN) == [
+            (0, Direction.EAST)
+        ]
+        assert links_judged(snapshot, LinkVerdict.PERMANENT) == []
+        corrupted = per_link(snapshot, "link_corrupted_traversals")
+        assert corrupted[(0, Direction.EAST)] > 0
+        assert sum(per_link(snapshot, "detector_faults_observed").values()) > 0
 
     def test_permanent_link_identified(self):
         net = build_mitigated_network(PAPER_CONFIG)
@@ -62,8 +98,10 @@ class TestSecurityReport:
             ),
         )
         attack_and_run(net, count=5)
-        report = security_report(net)
-        assert (0, Direction.EAST) in report.permanent_links
+        snapshot = collect_security(net).snapshot()
+        assert (0, Direction.EAST) in links_judged(
+            snapshot, LinkVerdict.PERMANENT
+        )
 
     def test_lob_traffic_aggregated(self):
         net = build_mitigated_network(PAPER_CONFIG)
@@ -71,10 +109,12 @@ class TestSecurityReport:
         trojan.enable()
         net.attach_tamperer((0, Direction.EAST), trojan)
         attack_and_run(net, count=25)
-        report = security_report(net)
-        assert sum(report.obfuscated_sends.values()) > 0
-        assert report.preemptive_sends > 0
-        assert "L-Ob traffic" in report.summary()
+        snapshot = collect_security(net).snapshot()
+        sends = series(snapshot, "lob_obfuscated_sends")
+        assert sum(child["value"] for child in sends) > 0
+        assert sum(
+            per_link(snapshot, "lob_preemptive_sends").values()
+        ) > 0
 
     def test_two_suspects_both_listed(self):
         net = build_mitigated_network(PAPER_CONFIG)
@@ -83,9 +123,9 @@ class TestSecurityReport:
             trojan.enable()
             net.attach_tamperer(key, trojan)
         attack_and_run(net, count=15)
-        report = security_report(net)
-        assert len(report.suspicious_links) == 2
+        snapshot = collect_security(net).snapshot()
+        assert len(suspects(snapshot)) == 2
 
     def test_unmitigated_network_rejected(self):
         with pytest.raises(ValueError):
-            security_report(Network(PAPER_CONFIG))
+            collect_security(Network(PAPER_CONFIG))

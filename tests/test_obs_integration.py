@@ -16,12 +16,16 @@ import pytest
 
 from repro.core import TargetSpec
 from repro.core.detector import LinkVerdict
-from repro.core.telemetry import security_report
 from repro.experiments.export import to_jsonable
 from repro.noc.config import NoCConfig, PAPER_CONFIG
 from repro.noc.topology import Direction
 from repro.obs import instrument, profiler as obs_profiler
-from repro.obs.collectors import campaign_metrics, link_label
+from repro.obs.collectors import (
+    campaign_metrics,
+    collect_security,
+    link_label,
+    parse_link_label,
+)
 from repro.experiments import runner
 from repro.obs.exporters import (
     main as exporters_main,
@@ -486,21 +490,34 @@ class TestSecurityReportAdapter:
         sim = Simulation(attacked_scenario())
         sim.run()
         net = sim.network
-        report = security_report(net)
-        assert set(report.links) == set(net.links)
-        for key, status in report.links.items():
+        snapshot = collect_security(net).snapshot()
+
+        def per_link(name):
+            return {
+                parse_link_label(child["labels"]["link"]): child
+                for child in snapshot[name]["series"]
+            }
+
+        verdicts = {
+            key: LinkVerdict(child["labels"]["verdict"])
+            for key, child in per_link("detector_verdict").items()
+        }
+        faults = per_link("detector_faults_observed")
+        bist = per_link("detector_bist_scans")
+        assert set(verdicts) == set(net.links)
+        for key, verdict in verdicts.items():
             detector = net.receiver_of(key).detector
-            assert status.verdict is detector.verdict
-            assert status.faults_observed == detector.faults_observed
-            assert status.bist_scans == detector.bist_scans
-        infected = report.links[(0, Direction.EAST)]
-        assert infected.verdict is LinkVerdict.TROJAN
-        assert infected.faults_observed > 0
+            assert verdict is detector.verdict
+            assert faults[key]["value"] == detector.faults_observed
+            assert bist[key]["value"] == detector.bist_scans
+        infected = (0, Direction.EAST)
+        assert verdicts[infected] is LinkVerdict.TROJAN
+        assert faults[infected]["value"] > 0
 
     def test_unmitigated_network_still_raises(self):
         sim = Simulation(quiet_scenario())
         with pytest.raises(ValueError, match="no threat detectors"):
-            security_report(sim.network)
+            collect_security(sim.network)
 
 
 class TestRunnerIntegration:

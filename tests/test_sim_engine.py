@@ -161,11 +161,7 @@ class TestScheduledFaults:
             for mode, sim in sims.items()
         }
         assert runs["sweep"] == runs["event"]
-        core = sims["event"].event_core
-        assert core.cycles_skipped > 0
-        for token in ("trojan-enable", "trojan-disable", "fault-attach",
-                      "fault-detach"):
-            assert core.wake_counts[token] >= 1
+        assert sims["event"].event_core.cycles_skipped > 0
 
     @pytest.mark.parametrize("mode", ["sweep", "event"])
     def test_restore_mid_window_matches_straight_run(self, mode):

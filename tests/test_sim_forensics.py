@@ -118,6 +118,80 @@ class TestBundleCapture:
         assert len(bundles) == 2
         assert bundles[0] != bundles[1]
 
+    def test_a_recorder_that_cannot_write_is_asked_once(self, tmp_path):
+        from repro.obs.instrument import ObsConfig
+
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        sim = Simulation(planted_deadlock_scenario(), obs=ObsConfig())
+        sim.enable_forensics(blocker)
+        events = []
+        sim.obs.bus.sinks.append(events.append)
+        with pytest.raises(OSError) as excinfo:
+            sim.advance_to(5000)
+        assert isinstance(excinfo.value.__context__, SentinelTrip)
+        assert [e.kind for e in events].count("sentinel_trip") == 1
+
+
+STEPPING_CALLS = {
+    "run": lambda sim: sim.run(),
+    "advance_to": lambda sim: sim.advance_to(5000),
+    "run_until_drained": lambda sim: sim.run_until_drained(5000),
+    "step": lambda sim: [sim.step() for _ in range(5000)],
+}
+
+
+class TestArmedByEnvironment:
+    """``REPRO_FORENSICS_DIR`` arms every simulation a process builds,
+    and a failure escaping any stepping call is recorded once."""
+
+    @pytest.mark.parametrize("call", sorted(STEPPING_CALLS))
+    def test_failure_leaves_one_replayable_bundle(
+        self, tmp_path, monkeypatch, call
+    ):
+        from repro.obs.instrument import ObsConfig
+
+        monkeypatch.setenv("REPRO_FORENSICS_DIR", str(tmp_path))
+        sim = Simulation(planted_deadlock_scenario(), obs=ObsConfig())
+        events = []
+        sim.obs.bus.sinks.append(events.append)
+        with pytest.raises(SentinelTrip) as excinfo:
+            STEPPING_CALLS[call](sim)
+        exc = excinfo.value
+        assert list(tmp_path.glob("*.repro")) == [exc.repro_bundle]
+        assert [e.kind for e in events].count("sentinel_trip") == 1
+        replayed = replay_bundle(exc.repro_bundle)
+        assert failure_signature(replayed) == failure_signature(exc)
+        assert replayed.cycle == exc.cycle
+
+    def test_arming_twice_keeps_one_tracer(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FORENSICS_DIR", str(tmp_path / "env"))
+        sim = Simulation(planted_deadlock_scenario())
+        armed = sim.forensics
+        assert armed is not None
+        hooks = len(sim.network.injection_hooks)
+        sim.enable_forensics(tmp_path / "explicit")
+        assert sim.forensics.tracer is armed.tracer
+        assert len(sim.network.injection_hooks) == hooks
+        with pytest.raises(SentinelTrip) as excinfo:
+            sim.run()
+        assert excinfo.value.repro_bundle.parent == tmp_path / "explicit"
+        assert not (tmp_path / "env").exists()
+
+    def test_resumed_run_is_armed(self, tmp_path, monkeypatch):
+        scenario = planted_deadlock_scenario()
+        sim = Simulation(scenario)
+        sim.configure_checkpoints(tmp_path / "ckpt", interval=50)
+        sim.advance_to(60)
+        monkeypatch.setenv("REPRO_FORENSICS_DIR", str(tmp_path / "fx"))
+        with pytest.raises(SentinelTrip) as excinfo:
+            engine.run(
+                scenario, resume=True, checkpoint_dir=tmp_path / "ckpt"
+            )
+        bundle = excinfo.value.repro_bundle
+        assert load_bundle(bundle).manifest["checkpoint_cycle"] == 50
+        assert replay_bundle(bundle).cycle == excinfo.value.cycle
+
 
 class TestReplay:
     def test_replay_reproduces(self, planted_bundle):

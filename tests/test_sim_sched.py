@@ -1,4 +1,4 @@
-"""Event engine: wheel mechanics, engine selection, oracle identity.
+"""Event engine: engine selection, oracle identity, skip decisions.
 
 The sweep engine is the oracle: every behaviour-bearing artifact
 (stats, results, checkpoints) produced under ``engine="event"`` must be
@@ -9,7 +9,6 @@ bit-identical to the sweep run of the same scenario.  Cross-process
 import dataclasses
 import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +23,6 @@ from repro.sim import (
     ScenarioDecodeError,
     Simulation,
     SyntheticTraffic,
-    WakeupWheel,
     engine,
 )
 
@@ -41,60 +39,6 @@ def canonical(result, net) -> str:
         },
         sort_keys=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# wheel mechanics
-# ---------------------------------------------------------------------------
-class TestWakeupWheel:
-    def test_fifo_within_a_cycle(self):
-        wheel = WakeupWheel()
-        wheel.schedule(5, "b")
-        wheel.schedule(5, "a")
-        wheel.schedule(5, "c")
-        assert wheel.pop_due(5) == ["b", "a", "c"]
-
-    def test_cycle_order_across_buckets(self):
-        wheel = WakeupWheel()
-        wheel.schedule(9, "late")
-        wheel.schedule(3, "early")
-        wheel.schedule(6, "mid")
-        assert wheel.pop_due(10) == ["early", "mid", "late"]
-
-    def test_schedule_is_idempotent_per_cycle(self):
-        wheel = WakeupWheel()
-        for _ in range(4):
-            wheel.schedule(2, "t")
-        wheel.schedule(3, "t")  # same token, other cycle: kept
-        assert len(wheel) == 2
-        assert wheel.pop_due(99) == ["t", "t"]
-
-    def test_next_cycle_discards_stale_buckets(self):
-        wheel = WakeupWheel()
-        wheel.schedule(1, "old")
-        wheel.schedule(8, "new")
-        assert wheel.next_cycle(5) == 8
-        # the stale bucket is really gone, not just skipped
-        assert len(wheel) == 1
-
-    def test_next_cycle_empty(self):
-        assert WakeupWheel().next_cycle(0) is None
-        assert not WakeupWheel()
-
-    def test_pop_due_leaves_future_buckets(self):
-        wheel = WakeupWheel()
-        wheel.schedule(4, "now")
-        wheel.schedule(7, "later")
-        assert wheel.pop_due(4) == ["now"]
-        assert wheel.next_cycle(0) == 7
-
-    def test_pickle_round_trip_preserves_order(self):
-        wheel = WakeupWheel()
-        wheel.schedule(5, "b")
-        wheel.schedule(5, "a")
-        wheel.schedule(2, "z")
-        clone = pickle.loads(pickle.dumps(wheel))
-        assert clone.pop_due(9) == ["z", "b", "a"]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +142,7 @@ class TestEventVsSweepIdentity:
         b = Simulation(fig2_style(), engine="event")
         a.run()
         b.run()
-        assert a.event_core.wake_counts == b.event_core.wake_counts
+        assert a.event_core.pinned_by == b.event_core.pinned_by
         assert a.event_core.cycles_skipped == b.event_core.cycles_skipped
 
     def test_delayed_trojan_fires_identically(self):
@@ -523,9 +467,39 @@ class TestPinnedBy:
         # mostly by flits still moving
         assert core.pinned_by["component"] > core.decisions // 2
         assert core.pinned_by.keys() <= {
-            "component", "traffic", "monitor:RetransWatchdog", "wheel",
+            "component", "traffic", "monitor:RetransWatchdog", "edge",
             "stall-abort",
         }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+    def test_every_leap_lands_on_a_live_demand(self, name):
+        # a leap that a step follows must end on a cycle some candidate
+        # demands when judged afresh from live state: never on a wake
+        # left over from an earlier decision
+        scenario = PINNED_SCENARIOS[name]()
+        sim = Simulation(scenario, engine="event")
+        core = sim.event_core
+        step = sim.step
+        seen = {"leaps": 0, "checked": 0}
+        undemanded = []
+
+        def checked_step():
+            if core.leaps > seen["leaps"]:
+                seen["leaps"] = core.leaps
+                seen["checked"] += 1
+                cycle = sim.network.cycle
+                last = sim.network.stats.last_delivery_cycle
+                stall = None
+                if scenario.stall_limit is not None and last >= 0:
+                    stall = last + scenario.stall_limit
+                if EventCore(sim)._next_due(cycle + 1, stall) != cycle:
+                    undemanded.append(cycle)
+            step()
+
+        sim.step = checked_step
+        sim.run()
+        assert seen["checked"] > 0
+        assert undemanded == []
 
     def test_pins_survive_a_checkpoint(self):
         scenario = sparse_event_scenario(packets=20)
