@@ -34,95 +34,51 @@ Quickstart::
     print(net.stats.summary())
 """
 
-from repro.baselines import (
-    E2EConfig,
-    E2EObfuscator,
-    TdmConfig,
-    TdmPolicy,
-    apply_rerouting,
-    updown_table,
-)
-from repro.core import (
-    DetectorConfig,
-    Granularity,
-    LinkVerdict,
-    MitigationConfig,
-    ObMethod,
-    TargetSpec,
-    TaspConfig,
-    TaspState,
-    TaspTrojan,
-    ThreatDetector,
-    build_mitigated_network,
-)
-from repro.ecc import SECDED_72_64, DecodeStatus, Secded
-from repro.faults import (
-    BistScanner,
-    BistVerdict,
-    PermanentFault,
-    StuckAtKind,
-    TransientFaultModel,
-)
-from repro.noc import (
-    Direction,
-    Flit,
-    FlitType,
-    Network,
-    NoCConfig,
-    Packet,
-    PAPER_CONFIG,
-)
-from repro.traffic import (
-    AppTraceSource,
-    PROFILES,
-    SyntheticConfig,
-    SyntheticSource,
-    Trace,
-    TraceReplaySource,
-    record_trace,
-)
+from repro._lazy import facade
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "E2EConfig",
-    "E2EObfuscator",
-    "TdmConfig",
-    "TdmPolicy",
-    "apply_rerouting",
-    "updown_table",
-    "DetectorConfig",
-    "Granularity",
-    "LinkVerdict",
-    "MitigationConfig",
-    "ObMethod",
-    "TargetSpec",
-    "TaspConfig",
-    "TaspState",
-    "TaspTrojan",
-    "ThreatDetector",
-    "build_mitigated_network",
-    "SECDED_72_64",
-    "DecodeStatus",
-    "Secded",
-    "BistScanner",
-    "BistVerdict",
-    "PermanentFault",
-    "StuckAtKind",
-    "TransientFaultModel",
-    "Direction",
-    "Flit",
-    "FlitType",
-    "Network",
-    "NoCConfig",
-    "Packet",
-    "PAPER_CONFIG",
-    "AppTraceSource",
-    "PROFILES",
-    "SyntheticConfig",
-    "SyntheticSource",
-    "Trace",
-    "TraceReplaySource",
-    "record_trace",
-    "__version__",
-]
+_EXPORTS = {
+    "E2EConfig": "baselines.e2e",
+    "E2EObfuscator": "baselines.e2e",
+    "TdmConfig": "baselines.tdm",
+    "TdmPolicy": "baselines.tdm",
+    "apply_rerouting": "baselines.reroute",
+    "updown_table": "baselines.reroute",
+    "DetectorConfig": "core.detector",
+    "Granularity": "core.lob",
+    "LinkVerdict": "core.detector",
+    "MitigationConfig": "core.mitigation",
+    "ObMethod": "core.lob",
+    "TargetSpec": "core.targets",
+    "TaspConfig": "core.tasp",
+    "TaspState": "core.tasp",
+    "TaspTrojan": "core.tasp",
+    "ThreatDetector": "core.detector",
+    "build_mitigated_network": "core.mitigation",
+    "SECDED_72_64": "ecc.hamming",
+    "DecodeStatus": "ecc.hamming",
+    "Secded": "ecc.hamming",
+    "BistScanner": "faults.bist",
+    "BistVerdict": "faults.bist",
+    "PermanentFault": "faults.models",
+    "StuckAtKind": "faults.models",
+    "TransientFaultModel": "faults.models",
+    "Direction": "noc.topology",
+    "Flit": "noc.flit",
+    "FlitType": "noc.flit",
+    "Network": "noc.network",
+    "NoCConfig": "noc.config",
+    "Packet": "noc.flit",
+    "PAPER_CONFIG": "noc.config",
+    "AppTraceSource": "traffic.apps",
+    "PROFILES": "traffic.apps",
+    "SyntheticConfig": "traffic.synthetic",
+    "SyntheticSource": "traffic.synthetic",
+    "Trace": "traffic.trace",
+    "TraceReplaySource": "traffic.trace",
+    "record_trace": "traffic.trace",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

@@ -8,20 +8,17 @@
   (works but sacrifices bandwidth/path diversity, Fig. 10).
 """
 
-from repro.baselines.e2e import E2EConfig, E2EObfuscator
-from repro.baselines.reroute import (
-    UnroutableError,
-    apply_rerouting,
-    updown_table,
-)
-from repro.baselines.tdm import TdmConfig, TdmPolicy
+from repro._lazy import facade
 
-__all__ = [
-    "E2EConfig",
-    "E2EObfuscator",
-    "UnroutableError",
-    "apply_rerouting",
-    "updown_table",
-    "TdmConfig",
-    "TdmPolicy",
-]
+_EXPORTS = {
+    "E2EConfig": "e2e",
+    "E2EObfuscator": "e2e",
+    "UnroutableError": "reroute",
+    "apply_rerouting": "reroute",
+    "updown_table": "reroute",
+    "TdmConfig": "tdm",
+    "TdmPolicy": "tdm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

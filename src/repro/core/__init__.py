@@ -7,64 +7,38 @@
 * :mod:`repro.core.mitigation` — both wired into the router datapath.
 """
 
-from repro.core.attacker import AttackPlan, compare_targets, plan_attack, victim_flow_volumes
-from repro.core.detector import (
-    DetectorConfig,
-    FaultRecord,
-    LinkVerdict,
-    ThreatDetector,
-)
-from repro.core.lob import (
-    DEFAULT_METHOD_SEQUENCE,
-    Granularity,
-    LObCodec,
-    LObEncoder,
-    ObDescriptor,
-    ObMethod,
-    PENALTY_CYCLES,
-)
-from repro.core.migration import (
-    MigratedSource,
-    MigrationError,
-    MigrationPlan,
-    plan_migration,
-)
-from repro.core.mitigation import (
-    DetectingReceiver,
-    MitigationConfig,
-    build_mitigated_network,
-)
-from repro.core.recovery import RecoveryManager, RecoveryReport
-from repro.core.targets import TargetSpec
-from repro.core.tasp import TaspConfig, TaspState, TaspTrojan
+from repro._lazy import facade
 
-__all__ = [
-    "AttackPlan",
-    "compare_targets",
-    "plan_attack",
-    "victim_flow_volumes",
-    "DetectorConfig",
-    "FaultRecord",
-    "LinkVerdict",
-    "ThreatDetector",
-    "DEFAULT_METHOD_SEQUENCE",
-    "Granularity",
-    "LObCodec",
-    "LObEncoder",
-    "ObDescriptor",
-    "ObMethod",
-    "PENALTY_CYCLES",
-    "MigratedSource",
-    "MigrationError",
-    "MigrationPlan",
-    "plan_migration",
-    "DetectingReceiver",
-    "MitigationConfig",
-    "build_mitigated_network",
-    "RecoveryManager",
-    "RecoveryReport",
-    "TargetSpec",
-    "TaspConfig",
-    "TaspState",
-    "TaspTrojan",
-]
+_EXPORTS = {
+    "AttackPlan": "attacker",
+    "compare_targets": "attacker",
+    "plan_attack": "attacker",
+    "victim_flow_volumes": "attacker",
+    "DetectorConfig": "detector",
+    "FaultRecord": "detector",
+    "LinkVerdict": "detector",
+    "ThreatDetector": "detector",
+    "DEFAULT_METHOD_SEQUENCE": "lob",
+    "Granularity": "lob",
+    "LObCodec": "lob",
+    "LObEncoder": "lob",
+    "ObDescriptor": "lob",
+    "ObMethod": "lob",
+    "PENALTY_CYCLES": "lob",
+    "MigratedSource": "migration",
+    "MigrationError": "migration",
+    "MigrationPlan": "migration",
+    "plan_migration": "migration",
+    "DetectingReceiver": "mitigation",
+    "MitigationConfig": "mitigation",
+    "build_mitigated_network": "mitigation",
+    "RecoveryManager": "recovery",
+    "RecoveryReport": "recovery",
+    "TargetSpec": "targets",
+    "TaspConfig": "tasp",
+    "TaspState": "tasp",
+    "TaspTrojan": "tasp",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

@@ -8,16 +8,14 @@ bit-accurate extended Hamming SECDED(72,64) codec so the trojan's 2-bit
 payloads interact with the link exactly as in hardware.
 """
 
-from repro.ecc.hamming import (
-    DecodeResult,
-    DecodeStatus,
-    Secded,
-    SECDED_72_64,
-)
+from repro._lazy import facade
 
-__all__ = [
-    "DecodeResult",
-    "DecodeStatus",
-    "Secded",
-    "SECDED_72_64",
-]
+_EXPORTS = {
+    "DecodeResult": "hamming",
+    "DecodeStatus": "hamming",
+    "Secded": "hamming",
+    "SECDED_72_64": "hamming",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

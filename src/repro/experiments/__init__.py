@@ -20,38 +20,25 @@ pytest-benchmark target.
 | load_curve          | load-latency validation; xy vs adaptive knees  |
 """
 
-from repro.experiments import (
-    ablations,
-    common,
-    export,
-    flood_routing,
-    fig1_traffic,
-    fig2_faults,
-    fig8_overhead,
-    fig10_speedup,
-    fig11_backpressure,
-    fig12_qos,
-    load_curve,
-    reinstate,
-    table1_tasp,
-    table2_mitigation,
-    viz,
-)
+from repro._lazy import facade
 
-__all__ = [
-    "ablations",
-    "common",
-    "export",
-    "flood_routing",
-    "fig1_traffic",
-    "fig2_faults",
-    "fig8_overhead",
-    "fig10_speedup",
-    "fig11_backpressure",
-    "fig12_qos",
-    "load_curve",
-    "reinstate",
-    "table1_tasp",
-    "table2_mitigation",
-    "viz",
-]
+_EXPORTS = {
+    "ablations": "ablations",
+    "common": "common",
+    "export": "export",
+    "flood_routing": "flood_routing",
+    "fig1_traffic": "fig1_traffic",
+    "fig2_faults": "fig2_faults",
+    "fig8_overhead": "fig8_overhead",
+    "fig10_speedup": "fig10_speedup",
+    "fig11_backpressure": "fig11_backpressure",
+    "fig12_qos": "fig12_qos",
+    "load_curve": "load_curve",
+    "reinstate": "reinstate",
+    "table1_tasp": "table1_tasp",
+    "table2_mitigation": "table2_mitigation",
+    "viz": "viz",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

@@ -12,22 +12,18 @@ tell permanent faults apart from trojans (trojans are target-activated and
 move their fault positions, so scans come back clean or inconsistent).
 """
 
-from repro.faults.models import (
-    LinkKillFault,
-    LinkTamperer,
-    PermanentFault,
-    StuckAtKind,
-    TransientFaultModel,
-)
-from repro.faults.bist import BistReport, BistScanner, BistVerdict
+from repro._lazy import facade
 
-__all__ = [
-    "LinkKillFault",
-    "LinkTamperer",
-    "PermanentFault",
-    "StuckAtKind",
-    "TransientFaultModel",
-    "BistReport",
-    "BistScanner",
-    "BistVerdict",
-]
+_EXPORTS = {
+    "LinkKillFault": "models",
+    "LinkTamperer": "models",
+    "PermanentFault": "models",
+    "StuckAtKind": "models",
+    "TransientFaultModel": "models",
+    "BistReport": "bist",
+    "BistScanner": "bist",
+    "BistVerdict": "bist",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

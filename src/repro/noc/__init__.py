@@ -8,65 +8,48 @@ retransmission buffers after the crossbar, and credit-based flow
 control.
 """
 
-from repro.noc.adaptive import AdaptiveRouting
-from repro.noc.config import NoCConfig, PAPER_CONFIG
-from repro.noc.invariants import InvariantViolation, NetworkValidator
-from repro.noc.tracing import EventKind, FlitTracer, TraceEvent
-from repro.noc.flit import Flit, FlitType, Packet, pack_header, unpack_header
-from repro.noc.link import AckMessage, Link, Transmission
-from repro.noc.network import Network, TrafficSource
-from repro.noc.receiver import EccReceiver
-from repro.noc.retrans import EntryState, NackAdvice, RetransBuffer
-from repro.noc.router import Router, SchedulingPolicy
-from repro.noc.routing import TableRouting, make_route_fn, xy_route, yx_route
-from repro.noc.stats import NetworkStats, PacketRecord, Sample
-from repro.noc.topology import (
-    Direction,
-    OPPOSITE,
-    all_links,
-    link_endpoints,
-    links_on_xy_path,
-    neighbor,
-    neighbors,
-)
+from repro._lazy import facade
 
-__all__ = [
-    "AdaptiveRouting",
-    "InvariantViolation",
-    "NetworkValidator",
-    "EventKind",
-    "FlitTracer",
-    "TraceEvent",
-    "NoCConfig",
-    "PAPER_CONFIG",
-    "Flit",
-    "FlitType",
-    "Packet",
-    "pack_header",
-    "unpack_header",
-    "AckMessage",
-    "Link",
-    "Transmission",
-    "Network",
-    "TrafficSource",
-    "EccReceiver",
-    "EntryState",
-    "NackAdvice",
-    "RetransBuffer",
-    "Router",
-    "SchedulingPolicy",
-    "TableRouting",
-    "make_route_fn",
-    "xy_route",
-    "yx_route",
-    "NetworkStats",
-    "PacketRecord",
-    "Sample",
-    "Direction",
-    "OPPOSITE",
-    "all_links",
-    "link_endpoints",
-    "links_on_xy_path",
-    "neighbor",
-    "neighbors",
-]
+_EXPORTS = {
+    "AdaptiveRouting": "adaptive",
+    "InvariantViolation": "invariants",
+    "NetworkValidator": "invariants",
+    "EventKind": "tracing",
+    "FlitTracer": "tracing",
+    "TraceEvent": "tracing",
+    "NoCConfig": "config",
+    "PAPER_CONFIG": "config",
+    "Flit": "flit",
+    "FlitType": "flit",
+    "Packet": "flit",
+    "pack_header": "flit",
+    "unpack_header": "flit",
+    "AckMessage": "link",
+    "Link": "link",
+    "Transmission": "link",
+    "Network": "network",
+    "TrafficSource": "network",
+    "EccReceiver": "receiver",
+    "EntryState": "retrans",
+    "NackAdvice": "retrans",
+    "RetransBuffer": "retrans",
+    "Router": "router",
+    "SchedulingPolicy": "router",
+    "TableRouting": "routing",
+    "make_route_fn": "routing",
+    "xy_route": "routing",
+    "yx_route": "routing",
+    "NetworkStats": "stats",
+    "PacketRecord": "stats",
+    "Sample": "stats",
+    "Direction": "topology",
+    "OPPOSITE": "topology",
+    "all_links": "topology",
+    "link_endpoints": "topology",
+    "links_on_xy_path": "topology",
+    "neighbor": "topology",
+    "neighbors": "topology",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

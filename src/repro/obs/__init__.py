@@ -36,22 +36,17 @@ Observability is a **pure observer**: enabling it never changes
 from this package, so ``import repro.noc`` loads none of it.
 """
 
-from repro.obs.events import (
-    EVENT_KINDS,
-    EVENT_SCHEMA_VERSION,
-    Event,
-    EventBus,
-    EventSchemaError,
-)
-from repro.obs.registry import MetricsRegistry
-from repro.obs.series import WindowedSeries
+from repro._lazy import facade
 
-__all__ = [
-    "EVENT_KINDS",
-    "EVENT_SCHEMA_VERSION",
-    "Event",
-    "EventBus",
-    "EventSchemaError",
-    "MetricsRegistry",
-    "WindowedSeries",
-]
+_EXPORTS = {
+    "EVENT_KINDS": "events",
+    "EVENT_SCHEMA_VERSION": "events",
+    "Event": "events",
+    "EventBus": "events",
+    "EventSchemaError": "events",
+    "MetricsRegistry": "registry",
+    "WindowedSeries": "series",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

@@ -21,51 +21,29 @@ Three cooperating pieces on top of the NoC simulator:
   reinstatement, exponential flap damping.
 """
 
-from repro.resilience.containment import (
-    ContainmentConfig,
-    ContainmentCoordinator,
-    ContainmentEvent,
-    ProbationConfig,
-    SAFE_REROUTE_MODELS,
-)
-from repro.resilience.detect import (
-    DetectConfig,
-    DetectionEvent,
-    TrafficStatsDetector,
-)
-from repro.resilience.probe import (
-    LinkProber,
-    ProbeConfig,
-    ProbeTrial,
-    ProbeVerdict,
-)
-from repro.resilience.degrade import DropReport, drop_packet_at_port
-from repro.resilience.watchdog import (
-    EscalationEvent,
-    EscalationStage,
-    PartitionRisk,
-    RetransWatchdog,
-    WatchdogConfig,
-)
+from repro._lazy import facade
 
-__all__ = [
-    "ContainmentConfig",
-    "ContainmentCoordinator",
-    "ContainmentEvent",
-    "ProbationConfig",
-    "SAFE_REROUTE_MODELS",
-    "DetectConfig",
-    "DetectionEvent",
-    "TrafficStatsDetector",
-    "LinkProber",
-    "ProbeConfig",
-    "ProbeTrial",
-    "ProbeVerdict",
-    "PartitionRisk",
-    "DropReport",
-    "drop_packet_at_port",
-    "EscalationEvent",
-    "EscalationStage",
-    "RetransWatchdog",
-    "WatchdogConfig",
-]
+_EXPORTS = {
+    "ContainmentConfig": "containment",
+    "ContainmentCoordinator": "containment",
+    "ContainmentEvent": "containment",
+    "ProbationConfig": "containment",
+    "SAFE_REROUTE_MODELS": "containment",
+    "DetectConfig": "detect",
+    "DetectionEvent": "detect",
+    "TrafficStatsDetector": "detect",
+    "LinkProber": "probe",
+    "ProbeConfig": "probe",
+    "ProbeTrial": "probe",
+    "ProbeVerdict": "probe",
+    "PartitionRisk": "watchdog",
+    "DropReport": "degrade",
+    "drop_packet_at_port": "degrade",
+    "EscalationEvent": "watchdog",
+    "EscalationStage": "watchdog",
+    "RetransWatchdog": "watchdog",
+    "WatchdogConfig": "watchdog",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

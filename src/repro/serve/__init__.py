@@ -29,31 +29,21 @@ Everything here is a pure observer: a streamed run's
 of the same scenario.
 """
 
-from repro.serve.classify import (
-    Classifier,
-    LocalizerClassifier,
-    Verdict,
-    ZScoreClassifier,
-    default_classifiers,
-)
-from repro.serve.features import FeatureExtractor, FeatureFrame
-from repro.serve.pipeline import (
-    DetectionPipeline,
-    StreamingRun,
-    replay_events,
-    run_streaming,
-)
+from repro._lazy import facade
 
-__all__ = [
-    "Classifier",
-    "DetectionPipeline",
-    "FeatureExtractor",
-    "FeatureFrame",
-    "LocalizerClassifier",
-    "StreamingRun",
-    "Verdict",
-    "ZScoreClassifier",
-    "default_classifiers",
-    "replay_events",
-    "run_streaming",
-]
+_EXPORTS = {
+    "Classifier": "classify",
+    "DetectionPipeline": "pipeline",
+    "FeatureExtractor": "features",
+    "FeatureFrame": "features",
+    "LocalizerClassifier": "classify",
+    "StreamingRun": "pipeline",
+    "Verdict": "classify",
+    "ZScoreClassifier": "classify",
+    "default_classifiers": "classify",
+    "replay_events": "pipeline",
+    "run_streaming": "pipeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

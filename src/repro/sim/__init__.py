@@ -17,96 +17,52 @@ failures as replayable ``*.repro`` bundles, and
 minimal cause.
 """
 
-from repro.sim.scenario import (
-    AppTraffic,
-    DefenseSpec,
-    DropAttackSpec,
-    ExplicitTraffic,
-    FloodTraffic,
-    PacketSpec,
-    Scenario,
-    ScenarioDecodeError,
-    SyntheticTraffic,
-    TransientFaultSpec,
-    TrojanSpec,
-    trojan_specs,
-)
-from repro.sim.engine import (
-    ENGINE_ENV,
-    RunResult,
-    Simulation,
-    attach_trojan_specs,
-    build,
-    resume_or_build,
-    run,
-)
-from repro.sim.sched import EventCore
-from repro.sim.cache import ResultCache, code_version, spec_hash
-from repro.sim.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    latest_checkpoint,
-    list_checkpoints,
-    prune_checkpoints,
-)
-from repro.sim.sentinel import Sentinel, SentinelSpec, SentinelTrip
-from repro.sim.forensics import (
-    Forensics,
-    ForensicsError,
-    ReproBundle,
-    failure_signature,
-    load_bundle,
-    planted_deadlock_scenario,
-    replay_bundle,
-)
-from repro.sim.shrink import (
-    ShrinkError,
-    ShrinkResult,
-    shrink_bundle,
-    shrink_scenario,
-)
+from repro._lazy import facade
 
-__all__ = [
-    "ENGINE_ENV",
-    "EventCore",
-    "Checkpoint",
-    "CheckpointError",
-    "Forensics",
-    "ForensicsError",
-    "ReproBundle",
-    "ScenarioDecodeError",
-    "Sentinel",
-    "SentinelSpec",
-    "SentinelTrip",
-    "ShrinkError",
-    "ShrinkResult",
-    "failure_signature",
-    "load_bundle",
-    "planted_deadlock_scenario",
-    "replay_bundle",
-    "shrink_bundle",
-    "shrink_scenario",
-    "latest_checkpoint",
-    "list_checkpoints",
-    "prune_checkpoints",
-    "resume_or_build",
-    "AppTraffic",
-    "DefenseSpec",
-    "DropAttackSpec",
-    "ExplicitTraffic",
-    "FloodTraffic",
-    "PacketSpec",
-    "ResultCache",
-    "RunResult",
-    "Scenario",
-    "Simulation",
-    "SyntheticTraffic",
-    "TransientFaultSpec",
-    "TrojanSpec",
-    "attach_trojan_specs",
-    "build",
-    "code_version",
-    "run",
-    "spec_hash",
-    "trojan_specs",
-]
+_EXPORTS = {
+    "ENGINE_ENV": "engine",
+    "EventCore": "sched",
+    "Checkpoint": "checkpoint",
+    "CheckpointError": "checkpoint",
+    "Forensics": "forensics",
+    "ForensicsError": "forensics",
+    "ReproBundle": "forensics",
+    "ScenarioDecodeError": "scenario",
+    "Sentinel": "sentinel",
+    "SentinelSpec": "sentinel",
+    "SentinelTrip": "sentinel",
+    "ShrinkError": "shrink",
+    "ShrinkResult": "shrink",
+    "failure_signature": "forensics",
+    "load_bundle": "forensics",
+    "planted_deadlock_scenario": "forensics",
+    "replay_bundle": "forensics",
+    "shrink_bundle": "shrink",
+    "shrink_scenario": "shrink",
+    "latest_checkpoint": "checkpoint",
+    "list_checkpoints": "checkpoint",
+    "prune_checkpoints": "checkpoint",
+    "resume_or_build": "engine",
+    "AppTraffic": "scenario",
+    "DefenseSpec": "scenario",
+    "DropAttackSpec": "scenario",
+    "ExplicitTraffic": "scenario",
+    "FloodTraffic": "scenario",
+    "PacketSpec": "scenario",
+    "ResultCache": "cache",
+    "RunResult": "engine",
+    "Scenario": "scenario",
+    "Simulation": "engine",
+    "SyntheticTraffic": "scenario",
+    "TransientFaultSpec": "scenario",
+    "TrojanSpec": "scenario",
+    "attach_trojan_specs": "engine",
+    "build": "engine",
+    "code_version": "cache",
+    "run": "engine",
+    "spec_hash": "cache",
+    "trojan_specs": "scenario",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

@@ -486,6 +486,10 @@ class Simulation:
         )
         sim = checkpoint.restore()
         sim.resumed_from_cycle = checkpoint.cycle
+        if sim.forensics is not None:
+            # a pickled recorder drops its snapshot; the state just
+            # restored is the last good one
+            sim.forensics.last_good = checkpoint
         sim._arm_from_environment()
         return sim
 

@@ -5,42 +5,28 @@ with the same structural properties (see DESIGN.md §2 and
 :mod:`repro.traffic.apps`).
 """
 
-from repro.traffic.flood import FloodConfig, FloodSource, MergedSource
-from repro.traffic.apps import (
-    AppProfile,
-    AppTraceSource,
-    PROFILES,
-    traffic_weights,
-)
-from repro.traffic.synthetic import (
-    PATTERNS,
-    SyntheticConfig,
-    SyntheticSource,
-    bit_complement,
-    hotspot,
-    neighbor,
-    transpose,
-    uniform_random,
-)
-from repro.traffic.trace import Trace, TraceReplaySource, record_trace
+from repro._lazy import facade
 
-__all__ = [
-    "FloodConfig",
-    "FloodSource",
-    "MergedSource",
-    "AppProfile",
-    "AppTraceSource",
-    "PROFILES",
-    "traffic_weights",
-    "PATTERNS",
-    "SyntheticConfig",
-    "SyntheticSource",
-    "bit_complement",
-    "hotspot",
-    "neighbor",
-    "transpose",
-    "uniform_random",
-    "Trace",
-    "TraceReplaySource",
-    "record_trace",
-]
+_EXPORTS = {
+    "FloodConfig": "flood",
+    "FloodSource": "flood",
+    "MergedSource": "flood",
+    "AppProfile": "apps",
+    "AppTraceSource": "apps",
+    "PROFILES": "apps",
+    "traffic_weights": "apps",
+    "PATTERNS": "synthetic",
+    "SyntheticConfig": "synthetic",
+    "SyntheticSource": "synthetic",
+    "bit_complement": "synthetic",
+    "hotspot": "synthetic",
+    "neighbor": "synthetic",
+    "transpose": "synthetic",
+    "uniform_random": "synthetic",
+    "Trace": "trace",
+    "TraceReplaySource": "trace",
+    "record_trace": "trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

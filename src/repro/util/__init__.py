@@ -12,34 +12,24 @@ records
     Small bounded containers used for runtime logging (ring logs, counters).
 """
 
-from repro.util.bits import (
-    bit,
-    extract_field,
-    insert_field,
-    mask,
-    parity,
-    popcount,
-    rotl,
-    rotr,
-    two_hot_masks,
-    BitPermutation,
-)
-from repro.util.rng import derive_seed, SeededStream, spread
-from repro.util.records import BoundedTable
+from repro._lazy import facade
 
-__all__ = [
-    "bit",
-    "extract_field",
-    "insert_field",
-    "mask",
-    "parity",
-    "popcount",
-    "rotl",
-    "rotr",
-    "two_hot_masks",
-    "BitPermutation",
-    "derive_seed",
-    "SeededStream",
-    "spread",
-    "BoundedTable",
-]
+_EXPORTS = {
+    "bit": "bits",
+    "extract_field": "bits",
+    "insert_field": "bits",
+    "mask": "bits",
+    "parity": "bits",
+    "popcount": "bits",
+    "rotl": "bits",
+    "rotr": "bits",
+    "two_hot_masks": "bits",
+    "BitPermutation": "bits",
+    "derive_seed": "rng",
+    "SeededStream": "rng",
+    "spread": "rng",
+    "BoundedTable": "records",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(__name__, _EXPORTS)

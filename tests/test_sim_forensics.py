@@ -264,6 +264,26 @@ class TestRecorderState:
         with pytest.raises(ForensicsError, match="last-good"):
             restored.forensics.write_bundle(ValueError("x"))
 
+    def test_resumed_recorder_writes_a_bundle(self, tmp_path, monkeypatch):
+        """A simulation resumed with its recorder holds the restored
+        state as its last-good checkpoint before it steps."""
+        monkeypatch.delenv("REPRO_FORENSICS_DIR", raising=False)
+        scenario = planted_deadlock_scenario()
+        sim = Simulation(scenario)
+        sim.enable_forensics(tmp_path / "fx")
+        sim.configure_checkpoints(tmp_path / "ckpt", interval=50)
+        sim.advance_to(60)
+        resumed = engine.resume_or_build(scenario, tmp_path / "ckpt")
+        assert resumed.resumed_from_cycle == 50
+        with pytest.raises(SentinelTrip) as excinfo:
+            resumed.run()
+        exc = excinfo.value
+        assert list((tmp_path / "fx").glob("*.repro")) == [exc.repro_bundle]
+        assert load_bundle(exc.repro_bundle).manifest["checkpoint_cycle"] == 50
+        replayed = replay_bundle(exc.repro_bundle)
+        assert failure_signature(replayed) == failure_signature(exc)
+        assert replayed.cycle == exc.cycle
+
 
 class TestFailureSignature:
     def test_sentinel_trip_uses_kind(self):
