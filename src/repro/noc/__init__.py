@@ -14,9 +14,6 @@ _EXPORTS = {
     "AdaptiveRouting": "adaptive",
     "InvariantViolation": "invariants",
     "NetworkValidator": "invariants",
-    "EventKind": "tracing",
-    "FlitTracer": "tracing",
-    "TraceEvent": "tracing",
     "NoCConfig": "config",
     "PAPER_CONFIG": "config",
     "Flit": "flit",

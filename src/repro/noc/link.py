@@ -118,7 +118,7 @@ class Link:
         #: callbacks (tx, cycle, original_codeword) after tampering
         self.launch_hooks: list = []
         #: callbacks (ack, cycle, flit) fired when the upstream router
-        #: processes an ACK/NACK (wired by FlitTracer)
+        #: processes an ACK/NACK (wired by repro.obs.instrument.wire_hooks)
         self.ack_hooks: list = []
         self._in_flight: list[tuple[int, Transmission]] = []
         self._acks: list[tuple[int, AckMessage]] = []

@@ -1,19 +1,23 @@
 """Wiring: attach the observability layer to live simulations.
 
-An :class:`Observability` bundles one metrics registry, one event bus
-and one windowed back-pressure series, and :meth:`~Observability.attach`
-threads them through a :class:`~repro.sim.engine.Simulation` using only
-the network's existing public hook points — injection/ejection hooks,
-link launch/ack hooks, the monitor list and the watchdog's event hooks.
-The hooks only publish events, and only while a sink listens; the
-registry is filled once per simulation, by the final scrape of the
-components' own counters (:mod:`repro.obs.collectors`).  It observes;
-it never mutates simulated state, so an observed run is byte-identical
-to an unobserved one.
+:func:`wire_hooks` is the one hook wiring: it hangs a publishing hook
+on the network's existing public hook points — injection/ejection
+hooks and every link's launch/ack hooks — and on the simulation's
+watchdog, containment coordinator, detector and localizer event
+hooks.  Each hook publishes its event on one :class:`EventBus`, and
+only while a sink listens.  Two callers share it: an
+:class:`Observability` (one metrics registry, event bus and windowed
+back-pressure series, threaded through a
+:class:`~repro.sim.engine.Simulation` by :meth:`~Observability.attach`)
+and the forensics recorder, whose private bus feeds the repro
+bundle's trace window (:mod:`repro.sim.forensics`).  The registry is
+filled once per simulation, by the final scrape of the components'
+own counters (:mod:`repro.obs.collectors`).  The hooks observe; they
+never mutate simulated state, so an observed run is byte-identical to
+an unobserved one.
 
 Hooks are module-level classes (not closures) so an instrumented
-simulation still pickles cleanly through :mod:`repro.sim.checkpoint`
-— the same rule :class:`repro.noc.tracing.FlitTracer` follows.
+simulation still pickles cleanly through :mod:`repro.sim.checkpoint`.
 
 One :class:`Observability` may span several simulations (experiments
 like fig11 run an attacked and a clean network); every emitted series
@@ -76,8 +80,8 @@ class _Hook:
     """The bus a hook publishes on, the run label its events carry and
     (for link hooks) the link's label."""
 
-    def __init__(self, obs: "Observability", run: str, label: str = ""):
-        self.bus = obs.bus
+    def __init__(self, bus: EventBus, run: str, label: str = ""):
+        self.bus = bus
         self.run = run
         self.label = label
 
@@ -212,6 +216,35 @@ class _LocalizeHook(_Hook):
                 link=link_label(event.link), router=event.router,
                 score=event.score, detail=event.detail,
             )
+
+
+def wire_hooks(
+    bus: EventBus,
+    run: str,
+    network: "Network",
+    sim: "Optional[Simulation]" = None,
+) -> None:
+    """Hang a hook publishing on ``bus`` under ``run`` on ``network``'s
+    four hook points and, given ``sim``, on its watchdog, containment
+    coordinator, detector and localizer."""
+    from repro.obs.collectors import link_label
+
+    network.injection_hooks.append(_InjectHook(bus, run))
+    network.ejection_hooks.append(_EjectHook(bus, run))
+    for key, link in network.links.items():
+        label = link_label(key)
+        link.launch_hooks.append(_LaunchHook(bus, run, label))
+        link.ack_hooks.append(_AckHook(bus, run, label))
+    if sim is None:
+        return
+    for component, hook in (
+        (sim.watchdog, _EscalateHook),
+        (getattr(sim, "containment", None), _ContainHook),
+        (getattr(sim, "detector", None), _DetectHook),
+        (getattr(sim, "localizer", None), _LocalizeHook),
+    ):
+        if component is not None:
+            component.event_hooks.append(hook(bus, run))
 
 
 class _WindowCollector:
@@ -363,28 +396,18 @@ class Observability:
             run = f"{name}#{k}"
         self.runs.append(run)
         sim.obs_run = run
-        self.attach_network(sim.network, run)
-        if sim.watchdog is not None:
-            sim.watchdog.event_hooks.append(_EscalateHook(self, run))
-        if getattr(sim, "containment", None) is not None:
-            sim.containment.event_hooks.append(_ContainHook(self, run))
-        if getattr(sim, "detector", None) is not None:
-            sim.detector.event_hooks.append(_DetectHook(self, run))
-        if getattr(sim, "localizer", None) is not None:
-            sim.localizer.event_hooks.append(_LocalizeHook(self, run))
+        self.attach_network(sim.network, run, sim)
 
-    def attach_network(self, network: "Network", run: str) -> None:
-        """Hook one network under an attached simulation's run label
-        (also a chaos campaign's next epoch, which swaps the
-        simulation's network)."""
-        from repro.obs.collectors import link_label
-
-        network.injection_hooks.append(_InjectHook(self, run))
-        network.ejection_hooks.append(_EjectHook(self, run))
-        for key, link in network.links.items():
-            label = link_label(key)
-            link.launch_hooks.append(_LaunchHook(self, run, label))
-            link.ack_hooks.append(_AckHook(self, run, label))
+    def attach_network(
+        self,
+        network: "Network",
+        run: str,
+        sim: "Optional[Simulation]" = None,
+    ) -> None:
+        """Hook one network (and, given ``sim``, its defense) under an
+        attached simulation's run label; alone, a network is a chaos
+        campaign's next epoch, which swaps the simulation's network."""
+        wire_hooks(self.bus, run, network, sim)
         if self.config.window > 0:
             network.monitors.append(
                 _WindowCollector(self, run, self.config.window)

@@ -180,9 +180,6 @@ class TopologyLocalizer:
         self.flags_fused += 1
         self._refresh(event.cycle)
 
-    #: backwards-compatible alias (pre-serve hook wiring)
-    _on_detect = ingest
-
     # -- clustering and scoring ----------------------------------------
     def _refresh(self, cycle: int) -> None:
         prof = obs_profiler.current()

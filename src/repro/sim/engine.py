@@ -613,27 +613,23 @@ class Simulation:
         directory: "str | Path",
         *,
         snapshot_every: int = 500,
-        trace_capacity: int = 2000,
     ) -> "Forensics":
         """Record enough state, continuously, to reproduce any failure.
 
         Keeps an in-memory last-good checkpoint (refreshed every
-        ``snapshot_every`` cycles) and a ring buffer of the last
-        ``trace_capacity`` flit events; any exception escaping
-        :meth:`run`, :meth:`advance_to`, :meth:`run_until_drained` or
-        :meth:`step` is then captured as a ``*.repro`` bundle under
-        ``directory`` (see :mod:`repro.sim.forensics`) and carries the
-        bundle path as ``exc.repro_bundle``.  Arming an armed
-        simulation replaces its recorder but keeps the tracer already
-        attached (and its capacity).
+        ``snapshot_every`` cycles) and a ring of the newest obs events
+        (``forensics.TRACE_CAPACITY``), published by the obs hooks on
+        a bus of its own; any exception escaping :meth:`run`,
+        :meth:`advance_to`, :meth:`run_until_drained` or :meth:`step`
+        is then captured as a ``*.repro`` bundle under ``directory``
+        (see :mod:`repro.sim.forensics`) and carries the bundle path
+        as ``exc.repro_bundle``.  Arming an armed simulation replaces
+        its recorder but keeps the ring already attached.
         """
         from repro.sim.forensics import Forensics
 
         self.forensics = Forensics(
-            self,
-            directory,
-            snapshot_every=snapshot_every,
-            trace_capacity=trace_capacity,
+            self, directory, snapshot_every=snapshot_every
         )
         return self.forensics
 

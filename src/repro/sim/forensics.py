@@ -11,9 +11,11 @@ recorder attached via :meth:`Simulation.enable_forensics` (or by the
 
 * an in-memory **last-good checkpoint** (refreshed every
   ``snapshot_every`` cycles, reusing :mod:`repro.sim.checkpoint`), and
-* a **ring buffer** of the most recent flit-level trace events
-  (:class:`~repro.noc.tracing.FlitTracer` in ``ring`` mode), so the
-  window always ends at the failure.
+* a **ring** of the newest :data:`TRACE_CAPACITY` obs events, so the
+  window always ends at the failure.  The recorder threads the obs
+  hooks (:func:`repro.obs.instrument.wire_hooks`) onto a private
+  :class:`~repro.obs.events.EventBus` whose one sink is the ring, so
+  the window is the same whether or not obs is armed.
 
 On failure it writes a ``<scenario>-c<cycle>.repro/`` directory::
 
@@ -23,7 +25,9 @@ On failure it writes a ``<scenario>-c<cycle>.repro/`` directory::
     checkpoint.ckpt   last-good state (repro.sim.checkpoint format)
     violation.json    exception type/message/signature + the attached
                       ValidationReport, when there is one
-    trace.log         the trace window, newest events last
+    events.jsonl      the trace window, newest events last (obs
+                      event schema; ``python -m repro.obs.exporters
+                      validate`` reads it)
     metrics.json      observability snapshot at the failure (present
                       when the sim had repro.obs attached)
 
@@ -41,11 +45,13 @@ Command line::
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TYPE_CHECKING
 
-from repro.noc.tracing import FlitTracer
+from repro.obs.events import EventBus
+from repro.obs.instrument import wire_hooks
 from repro.sim.cache import code_version
 from repro.sim.checkpoint import Checkpoint
 from repro.sim.scenario import Scenario
@@ -53,8 +59,9 @@ from repro.sim.scenario import Scenario
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
 
-#: bump on incompatible bundle layout changes
-BUNDLE_FORMAT = 1
+#: bump on incompatible bundle layout changes (2: the trace window is
+#: obs events in ``events.jsonl``)
+BUNDLE_FORMAT = 2
 
 BUNDLE_SUFFIX = ".repro"
 
@@ -62,9 +69,12 @@ MANIFEST_NAME = "manifest.json"
 SCENARIO_NAME = "scenario.json"
 CHECKPOINT_NAME = "checkpoint.ckpt"
 VIOLATION_NAME = "violation.json"
-TRACE_NAME = "trace.log"
+EVENTS_NAME = "events.jsonl"
 #: observability snapshot (present when the failing sim had obs armed)
 METRICS_NAME = "metrics.json"
+
+#: obs events the trace window keeps (the newest)
+TRACE_CAPACITY = 2000
 
 
 class ForensicsError(RuntimeError):
@@ -104,7 +114,6 @@ class Forensics:
         directory: "str | Path",
         *,
         snapshot_every: int = 500,
-        trace_capacity: int = 2000,
     ):
         if snapshot_every <= 0:
             raise ValueError("snapshot_every must be positive")
@@ -112,16 +121,17 @@ class Forensics:
         self.directory = Path(directory)
         self.snapshot_every = snapshot_every
         previous = sim.forensics
-        # re-arming keeps the attached tracer: one trace window per run
-        self.tracer = (
-            previous.tracer
-            if previous is not None
-            else FlitTracer.attach(
-                sim.network, capacity=trace_capacity, ring=True
-            )
-        )
-        # attached before the first capture, so the checkpoint carries
-        # the tracer's hooks and replays keep tracing
+        if previous is not None:
+            # re-arming keeps the attached ring: one trace window per run
+            self.ring = previous.ring
+        else:
+            self.ring = deque(maxlen=TRACE_CAPACITY)
+            bus = EventBus()
+            bus.sinks.append(self.ring.append)
+            run = sim.obs_run if sim.obs is not None else sim.scenario.name
+            wire_hooks(bus, run, sim.network, sim)
+        # hooked before the first capture, so the checkpoint carries
+        # the ring's hooks and replays keep recording
         self.last_good: Optional[Checkpoint] = Checkpoint.capture(sim)
         cycle = sim.network.cycle
         self._next_snapshot = (
@@ -175,10 +185,9 @@ class Forensics:
             json.dumps(_violation_payload(exc, signature, cycle),
                        indent=2, sort_keys=True)
         )
-        trace = self.tracer.render()
-        (bundle / TRACE_NAME).write_text(
-            (trace + "\n") if trace else "(no trace events)\n"
-        )
+        from repro.obs.exporters import write_events_jsonl
+
+        write_events_jsonl(bundle / EVENTS_NAME, self.ring)
         obs = getattr(sim, "obs", None)
         if obs is not None:
             # written before the manifest so iterdir() lists it below

@@ -149,7 +149,6 @@ ENGINE_NEVER_LOADS = (
     "repro.sim.checkpoint",
     "repro.sim.forensics",
     "repro.sim.shrink",
-    "repro.noc.tracing",
     "repro.traffic.trace",
 )
 

@@ -141,7 +141,7 @@ class TestPureObserver:
         self, monkeypatch, tmp_path
     ):
         """Launch hooks only observe: the obs hooks and the forensics
-        ring tracer leave SECDED to the links with a tamperer."""
+        ring's hooks leave SECDED to the links with a tamperer."""
         from repro.ecc.hamming import Secded
 
         calls = [0]
@@ -361,7 +361,7 @@ class TestWatchdogEscalations:
         events = []
         obs.bus.sinks.append(events.append)
         watchdog = RetransWatchdog(WatchdogConfig())
-        watchdog.event_hooks.append(_EscalateHook(obs, "ladder"))
+        watchdog.event_hooks.append(_EscalateHook(obs.bus, "ladder"))
         watchdog._log(
             EscalationEvent(
                 cycle=120,
@@ -376,6 +376,36 @@ class TestWatchdogEscalations:
         assert event.data["link"] == "0->EAST"
         assert event.data["stage"] == "obfuscate"
         assert event.data["pkt_id"] == 7
+
+
+class TestWireHooks:
+    def test_lob_engagements_reach_the_bus(self):
+        """On a mitigated network, the NACKs a trojan causes on
+        (0, EAST) engage L-Ob there, and the victim then gets
+        through."""
+        from repro.core import TaspTrojan, build_mitigated_network
+        from repro.noc.flit import Packet
+        from repro.obs.events import EventBus
+
+        net = build_mitigated_network(NoCConfig())
+        trojan = TaspTrojan(TargetSpec.for_dest(15))
+        trojan.enable()
+        net.attach_tamperer((0, Direction.EAST), trojan)
+        net.add_packet(Packet(pkt_id=1, src_core=0, dst_core=63))
+        bus = EventBus()
+        events = []
+        bus.sinks.append(events.append)
+        instrument.wire_hooks(bus, "lob", net)
+        net.run(300)
+        kinds = [e.kind for e in events]
+        obfuscations = [e for e in events if e.kind == "obfuscate"]
+        assert obfuscations
+        assert {e.data["link"] for e in obfuscations} == {"0->EAST"}
+        assert kinds.index("retransmit") < kinds.index("obfuscate")
+        assert kinds.count("deliver") == 1
+        assert events[-1].kind == "deliver"
+        assert events[-1].data["pkt_id"] == 1
+        assert {e.run for e in events} == {"lob"}
 
 
 class TestEngineNotifications:

@@ -6,13 +6,14 @@ signature at the *same* cycle — that determinism is what makes the
 shrinker's oracle trustworthy.
 """
 
+import dataclasses
 import json
 import pickle
 
 import pytest
 
 from repro.noc.invariants import InvariantViolation
-from repro.noc.tracing import FlitTracer
+from repro.obs.exporters import iter_events_jsonl
 from repro.sim import (
     Checkpoint,
     ForensicsError,
@@ -23,16 +24,18 @@ from repro.sim import (
     planted_deadlock_scenario,
     replay_bundle,
 )
+from repro.sim import forensics as forensics_module
 from repro.sim.forensics import (
     BUNDLE_FORMAT,
     CHECKPOINT_NAME,
+    EVENTS_NAME,
     MANIFEST_NAME,
     SCENARIO_NAME,
-    TRACE_NAME,
     VIOLATION_NAME,
     main as forensics_main,
 )
 from repro.sim.sentinel import SentinelTrip
+from tests.test_resilience_probation import _healing_scenario
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,7 @@ class TestBundleCapture:
         names = sorted(p.name for p in bundle.iterdir())
         assert names == sorted([
             MANIFEST_NAME, SCENARIO_NAME, CHECKPOINT_NAME,
-            VIOLATION_NAME, TRACE_NAME,
+            VIOLATION_NAME, EVENTS_NAME,
         ])
 
     def test_manifest_fields(self, planted_bundle):
@@ -81,9 +84,17 @@ class TestBundleCapture:
         assert "re-sent" in violation["message"]
 
     def test_trace_window_ends_at_failure(self, planted_bundle):
+        """The window is obs events, and its tail is the killer link's
+        NACK loop up to the trip cycle; under capacity it also keeps
+        the run's first event."""
         exc, bundle = planted_bundle
-        trace = (bundle / TRACE_NAME).read_text()
-        assert "pkt" in trace  # flit events were captured
+        events = list(iter_events_jsonl(bundle / EVENTS_NAME))
+        assert (events[0].kind, events[0].cycle) == ("inject", 0)
+        assert events[-1].cycle == exc.cycle
+        assert all(e.run == "planted-deadlock" for e in events)
+        tail = events[-6:]
+        assert [e.kind for e in tail] == ["retransmit", "corrupt"] * 3
+        assert {e.data["link"] for e in tail} == {"0->EAST"}
 
     def test_bundled_scenario_round_trips(self, planted_bundle):
         _, bundle = planted_bundle
@@ -164,14 +175,14 @@ class TestArmedByEnvironment:
         assert failure_signature(replayed) == failure_signature(exc)
         assert replayed.cycle == exc.cycle
 
-    def test_arming_twice_keeps_one_tracer(self, tmp_path, monkeypatch):
+    def test_arming_twice_keeps_one_ring(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FORENSICS_DIR", str(tmp_path / "env"))
         sim = Simulation(planted_deadlock_scenario())
         armed = sim.forensics
         assert armed is not None
         hooks = len(sim.network.injection_hooks)
         sim.enable_forensics(tmp_path / "explicit")
-        assert sim.forensics.tracer is armed.tracer
+        assert sim.forensics.ring is armed.ring
         assert len(sim.network.injection_hooks) == hooks
         with pytest.raises(SentinelTrip) as excinfo:
             sim.run()
@@ -231,21 +242,97 @@ class TestReplay:
 
 
 class TestRecorderState:
-    def test_ring_tracer_keeps_newest(self):
-        scenario = planted_deadlock_scenario()
-        sim = Simulation(scenario)
-        tracer = FlitTracer.attach(sim.network, capacity=5, ring=True)
+    def test_ring_keeps_newest(self, tmp_path, monkeypatch):
+        """A full ring evicts the oldest events: the bundled window is
+        the last TRACE_CAPACITY events of the whole stream, in order."""
+        full = Simulation(planted_deadlock_scenario())
+        full.enable_forensics(tmp_path / "full")
         with pytest.raises(SentinelTrip):
+            full.run()
+        monkeypatch.setattr(forensics_module, "TRACE_CAPACITY", 5)
+        sim = Simulation(planted_deadlock_scenario())
+        sim.enable_forensics(tmp_path / "ring")
+        with pytest.raises(SentinelTrip) as excinfo:
             sim.run()
-        assert len(tracer.events) == 5
-        assert tracer.truncated  # older events were evicted
-        cycles = [e.cycle for e in tracer.events]
-        assert cycles == sorted(cycles)
+        stream = list(full.forensics.ring)
+        assert len(stream) > 5
+        window = list(iter_events_jsonl(
+            excinfo.value.repro_bundle / EVENTS_NAME
+        ))
+        assert window == list(sim.forensics.ring) == stream[-5:]
+        assert window[-1].cycle == excinfo.value.cycle
+
+    def test_restored_hooks_feed_the_restored_ring(self, tmp_path):
+        """The ring's hooks are named classes, not closures, so an
+        armed simulation checkpoints, and its restored copy records
+        into its own ring."""
+        sim = Simulation(planted_deadlock_scenario())
+        sim.enable_forensics(tmp_path)
+        sim.advance_to(30)
+        before = len(sim.forensics.ring)
+        restored = Checkpoint.capture(sim).restore()
+        assert list(restored.forensics.ring) == list(sim.forensics.ring)
+        restored.advance_to(60)
+        assert len(restored.forensics.ring) > before
+        assert len(sim.forensics.ring) == before
+
+    def test_window_ignores_obs_but_takes_its_run_label(self, tmp_path):
+        """Obs changes the window's run label and nothing else, and
+        the recorder adds no sink to the obs bus."""
+        from repro.obs.instrument import ObsConfig, Observability
+
+        bare = Simulation(planted_deadlock_scenario())
+        bare.enable_forensics(tmp_path / "bare")
+        obs = Observability(ObsConfig())
+        Simulation(planted_deadlock_scenario(), obs=obs)
+        observed = Simulation(planted_deadlock_scenario(), obs=obs)
+        observed.enable_forensics(tmp_path / "observed")
+        for sim in (bare, observed):
+            with pytest.raises(SentinelTrip):
+                sim.run()
+        assert observed.obs_run == "planted-deadlock#2"
+        assert list(observed.forensics.ring) == [
+            dataclasses.replace(e, run="planted-deadlock#2")
+            for e in bare.forensics.ring
+        ]
+        assert obs.bus.sinks == []
+
+    def test_window_is_the_obs_stream_with_the_defense(
+        self, tmp_path, monkeypatch
+    ):
+        """Under capacity the window is every event the obs hooks
+        publish, the defense's decisions included: only the obs-only
+        verdict, checkpoint and sentinel_trip kinds stay out."""
+        from repro.obs.instrument import ObsConfig
+        from repro.resilience.localize import LocalizeConfig
+
+        monkeypatch.setattr(forensics_module, "TRACE_CAPACITY", 10**6)
+        healing = _healing_scenario()
+        scenario = dataclasses.replace(
+            healing,
+            duration=1000,
+            defense=dataclasses.replace(
+                healing.defense, localizer=LocalizeConfig()
+            ),
+        )
+        sim = Simulation(scenario, obs=ObsConfig())
+        stream = []
+        sim.obs.bus.sinks.append(stream.append)
+        sim.enable_forensics(tmp_path)
+        sim.run()
+        window = list(sim.forensics.ring)
+        assert window == [
+            e for e in stream
+            if e.kind not in ("verdict", "checkpoint", "sentinel_trip")
+        ]
+        assert {"escalate", "contain", "detect", "localize"} <= {
+            e.kind for e in window
+        }
 
     def test_forensics_snapshot_does_not_nest(self, tmp_path):
         """Checkpointing a sim with forensics armed must drop the held
         last-good snapshot (a snapshot inside a snapshot would grow
-        without bound) and stay picklable despite the tracer hooks."""
+        without bound) and stay picklable despite the ring's hooks."""
         sim = Simulation(planted_deadlock_scenario())
         forensics = sim.enable_forensics(tmp_path)
         for _ in range(10):
